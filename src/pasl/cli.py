@@ -6,7 +6,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from .calculus import Derivation, check, expand
 from .config import ConfigError, LogicConfig, preset
@@ -61,13 +61,6 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-rounds", type=int, default=12, metavar="N")
     p.add_argument("--max-apps", type=int, default=200000, metavar="N")
     p.add_argument("--timeout-ms", type=int, default=None, metavar="N")
-    p.add_argument("--no-backjump", action="store_true")
-    p.add_argument("--no-heuristic", action="store_true")
-
-
-def _seed() -> Optional[int]:
-    v = os.environ.get("SEPARATA_SEED")
-    return int(v) if v else None
 
 
 def _render(deriv: Derivation, style: str, cfg: LogicConfig,
@@ -86,14 +79,21 @@ def _render(deriv: Derivation, style: str, cfg: LogicConfig,
     return lines
 
 
+def _describe(e: Exception) -> str:
+    """One line: the exception and the innermost frame that raised it."""
+    tb = e.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    code = tb.tb_frame.f_code
+    return "%s: %s [%s:%d in %s]" % (type(e).__name__, e, os.path.basename(code.co_filename),
+                                     tb.tb_lineno, code.co_name)
+
+
 def cmd_prove(args) -> int:
     try:
         cfg = preset(args.logic)
         goal = parse(args.formula)
-        verdict = prove(goal, cfg, _limits(args),
-                        backjump=not args.no_backjump,
-                        heuristic=not args.no_heuristic,
-                        seed=_seed())
+        verdict = prove(goal, cfg, _limits(args))
     except (ParseError, ConfigError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_ERROR
@@ -123,22 +123,24 @@ def cmd_bench(args) -> int:
     except (OSError, ValueError, ParseError, ConfigError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_ERROR
-    failures = 0
+    failures = errors = 0
     for e in entries:
-        cfg = preset(e.cfg)
         t0 = time.monotonic()
-        verdict = prove(parse(e.formula), cfg, _limits(args),
-                        backjump=not args.no_backjump,
-                        heuristic=not args.no_heuristic,
-                        seed=_seed())
+        try:
+            kind = type(prove(parse(e.formula), preset(e.cfg), _limits(args))).__name__
+            ok = (kind == "Valid") if e.expected == "Valid" else (kind != "Valid")
+        except Exception as exc:    # one failing row must not end the run
+            print("error: %s: %s" % (e.id, _describe(exc)), file=sys.stderr)
+            kind, ok = "error", False
+            errors += 1
         dt = time.monotonic() - t0
-        kind = type(verdict).__name__
-        ok = (kind == "Valid") if e.expected == "Valid" else (kind != "Valid")
         if not ok:
             failures += 1
         print("%-12s %-12s %-18s %8.3fs  %s"
               % (e.id, e.cfg, kind, dt, "ok" if ok else "MISMATCH"))
     print("%d/%d expectations matched" % (len(entries) - failures, len(entries)))
+    if errors:
+        return EXIT_ERROR
     return EXIT_VALID if failures == 0 else EXIT_NOT_PROVED
 
 
@@ -187,7 +189,12 @@ def main(argv=None) -> int:
     c.set_defaults(func=cmd_check_model)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except RecursionError as e:     # a crash must not exit as a verdict
+        print("error: input nested too deeply for the recursive parser or search: %s"
+              % _describe(e), file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

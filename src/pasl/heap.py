@@ -8,7 +8,7 @@ interleaves with label normalization.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .calculus import Rule, RuleInstance
 from .config import LogicConfig
@@ -58,15 +58,3 @@ def witnesses(seq: Sequent) -> Tuple[str, ...]:
     """Candidate instantiations for an existential on the right: every
     occurring identifier plus one designated fresh name."""
     return tuple(sorted(occurring_exprs(seq))) + (fresh_expr_name(seq),)
-
-
-def mapsto_split_candidates(seq: Sequent) -> List[Tuple[LabelledFormula, tuple]]:
-    """Pairs (cell, atom) where the cell's world is split by the atom."""
-    out = []
-    cells = [lf for lf in seq.gamma if lf[1].kind == "mapsto"]
-    for lf in cells:
-        w = lf[0]
-        for atom in seq.rel:
-            if atom[2] == w:
-                out.append((lf, atom))
-    return out

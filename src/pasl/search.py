@@ -3,8 +3,8 @@
 The strategy works in phases on each branch:
 
 1. close the branch with a zero-premise rule if possible;
-2. normalize labels and heap expressions (substitutional rules) and
-   keep the relation closed under commutativity;
+2. eliminate label and heap-expression redexes (substitutional rules)
+   and keep the relation closed under commutativity;
 3. apply invertible logical rules, unary ones first;
 4. discharge star-right / wand-left obligations against relational
    atoms whose component labels already carry the matching subformulas,
@@ -16,23 +16,22 @@ The strategy works in phases on each branch:
    nothing left at all is saturated.
 
 A saturated open branch refutes the goal outright: the strategy has no
-choicepoints, so no alternative proof attempt exists.  Closed subtrees
-report which parts of the sequent they used; when one premise of a
-branching rule never used the formula that distinguishes it from its
-sibling, the sibling is discharged by replaying the same subtree.
+choicepoints, so no alternative proof attempt exists.  Every premise of
+a branching rule is searched on its own.  Short of a wall-clock limit,
+the search is deterministic: the same goal, logic and limits always
+give the same result.
 """
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from .calculus import (Derivation, Rule, RuleError, RuleInstance, check,
-                       closures, expand, from_applied)
+from .calculus import (Derivation, Rule, RuleInstance, check, closures,
+                       expand, from_applied)
 from .config import ConfigError, LogicConfig
 from .formula import EMP, Formula, has_heap, subformulae, subst_expr
-from .heap import find_heap_redex, fresh_expr_name, occurring_exprs
+from .heap import find_heap_redex, fresh_expr_name, witnesses
 from .sequent import EPS, Sequent, initial_sequent
 from .unify import eq_find, find_redex
 
@@ -71,33 +70,6 @@ class _Exhausted(Exception):
         self.limit = limit
 
 
-class _ReplayFail(Exception):
-    pass
-
-
-Item = Tuple[str, object]
-
-_MAX_REPLAY_NODES = 20000
-
-
-def _items(seq: Sequent) -> FrozenSet[Item]:
-    out: Set[Item] = set()
-    out.update(("r", a) for a in seq.rel)
-    out.update(("i", q) for q in seq.ineq)
-    out.update(("g", lf) for lf in seq.gamma)
-    out.update(("d", lf) for lf in seq.delta)
-    return frozenset(out)
-
-
-def _principal_items(inst: RuleInstance) -> FrozenSet[Item]:
-    out: Set[Item] = set()
-    out.update(("g", lf) for lf in inst.principal_gamma)
-    out.update(("d", lf) for lf in inst.principal_delta)
-    out.update(("r", a) for a in inst.principal_rels)
-    out.update(("i", q) for q in inst.principal_ineqs)
-    return frozenset(out)
-
-
 def _rewrite_memo_label(memo: Set[tuple], frm: int, to: int) -> Set[tuple]:
     def ml(x):
         if isinstance(x, int):
@@ -121,16 +93,14 @@ def _rewrite_memo_expr(memo: Set[tuple], frm: str, to: str) -> Set[tuple]:
 
 
 class Prover:
-    def __init__(self, cfg: LogicConfig, limits: SearchLimits = SearchLimits(),
-                 backjump: bool = True, heuristic: bool = True,
-                 rng: Optional[random.Random] = None):
+    # perfbench/probes.py reads this after each traced prove; the search
+    # never replays a subtree, so it stays 0
+    replays = 0
+
+    def __init__(self, cfg: LogicConfig, limits: SearchLimits = SearchLimits()):
         self.cfg = cfg
         self.limits = limits
-        self.backjump = backjump
-        self.heuristic = heuristic
-        self.rng = rng
         self.deadline = None
-        self.replays = 0
         self.live_atoms = 0
 
     # -- public entry points --------------------------------------------------
@@ -154,7 +124,7 @@ class Prover:
             self.round_cap = cap
             self.live_atoms = 0
             try:
-                deriv, _core = self._branch(seq, set(), 0, 0)
+                deriv = self._branch(seq, set(), 0, 0)
             except _OpenFound as e:
                 return NotProved(e.seq)
             except _Exhausted as e:
@@ -184,7 +154,7 @@ class Prover:
         self.live_atoms += len(seq.rel)
 
     def _branch(self, seq: Sequent, memo: Set[tuple], apps: int,
-                rounds: int) -> Tuple[Derivation, FrozenSet[Item]]:
+                rounds: int) -> Derivation:
         trail: List[Tuple[Sequent, RuleInstance]] = []
         try:
             return self._branch_loop(seq, memo, apps, rounds, trail)
@@ -201,8 +171,7 @@ class Prover:
         while True:
             inst = closures(seq, self.cfg)
             if inst is not None:
-                return self._fold(trail, Derivation(None, inst, ()),
-                                  _principal_items(inst))
+                return self._fold(trail, Derivation(None, inst, ()))
 
             got = self._norm_step(seq, memo)
             if got is None:
@@ -231,87 +200,31 @@ class Prover:
                         ob = self._obligation(seq, memo, min_score=0)
                         if ob is None:
                             raise _Exhausted("structural rounds")
-                key, inst = ob
-                memo = set(memo)
-                memo.add(key)
+                keys, inst = ob
+                memo = memo.union(keys)
                 if len(expand(seq, inst, self.cfg)) == 1:
                     apply_unary(inst)
                     continue
             apps = self._tick(apps, seq)
             return self._split(seq, inst, trail, memo, apps, rounds)
 
-    def _fold(self, trail, deriv: Derivation,
-              core: FrozenSet[Item]) -> Tuple[Derivation, FrozenSet[Item]]:
-        for seq, inst in reversed(trail):
-            core = (core | _principal_items(inst)) & _items(seq)
+    def _fold(self, trail, deriv: Derivation) -> Derivation:
+        for _, inst in reversed(trail):
             deriv = Derivation(None, inst, (deriv,))
-        return deriv, core
+        return deriv
 
     def _split(self, seq, inst, trail, memo, apps, rounds):
-        premises = expand(seq, inst, self.cfg)
-        subderivs: List[Optional[Derivation]] = [None] * len(premises)
-        cores: List[FrozenSet[Item]] = [frozenset()] * len(premises)
-        done_core: Optional[FrozenSet[Item]] = None
-        done_idx = -1
-        for i, p in enumerate(premises):
-            if (self.backjump and done_core is not None
-                    and done_core <= _items(p)
-                    and subderivs[done_idx].rule_count() <= _MAX_REPLAY_NODES):
-                try:
-                    subderivs[i] = self._replay(subderivs[done_idx], p, {})
-                    cores[i] = done_core
-                    self.replays += 1
-                    continue
-                except _ReplayFail:
-                    pass
-            d, c = self._branch(p, set(memo), apps, rounds)
-            subderivs[i] = d
-            cores[i] = c
-            done_core, done_idx = c, i
-        core = frozenset().union(*cores) | _principal_items(inst)
-        return self._fold(trail, Derivation(None, inst, tuple(subderivs)),
-                          core & _items(seq))
-
-    # -- replaying a closed subtree on a sibling premise ----------------------
-
-    def _replay(self, d: Derivation, seq: Sequent,
-                rename: Dict[int, int]) -> Derivation:
-        if d.instance is None:
-            raise _ReplayFail()
-        inst = self._rename_instance(d.instance, seq, rename)
-        try:
-            premises = expand(seq, inst, self.cfg)
-        except RuleError:
-            raise _ReplayFail()
-        if len(premises) != len(d.premises):
-            raise _ReplayFail()
-        subs = tuple(self._replay(sd, p, rename)
-                     for sd, p in zip(d.premises, premises))
-        return Derivation(None, inst, subs)
-
-    def _rename_instance(self, inst: RuleInstance, seq: Sequent,
-                         rename: Dict[int, int]) -> RuleInstance:
-        nxt = seq.fresh_label()
-        for f in inst.fresh:
-            rename[f] = nxt
-            nxt += 1
-        m = lambda w: rename.get(w, w)
-        return RuleInstance(
-            rule=inst.rule,
-            principal_gamma=tuple((m(w), f) for (w, f) in inst.principal_gamma),
-            principal_delta=tuple((m(w), f) for (w, f) in inst.principal_delta),
-            principal_rels=tuple((m(x), m(y), m(z)) for (x, y, z) in inst.principal_rels),
-            principal_ineqs=tuple((m(x), m(y)) for (x, y) in inst.principal_ineqs),
-            fresh=tuple(m(w) for w in inst.fresh),
-            subst=tuple((m(a), m(b)) for (a, b) in inst.subst),
-            labels=tuple(m(w) for w in inst.labels),
-            exprs=inst.exprs,
-        )
+        # a loop, not a comprehension: a comprehension's frame would make
+        # every branching level one frame deeper
+        subderivs = []
+        for p in expand(seq, inst, self.cfg):
+            subderivs.append(self._branch(p, memo, apps, rounds))
+        return self._fold(trail, Derivation(None, inst, tuple(subderivs)))
 
     # -- phase 2: substitutional rules and commutativity ----------------------
 
     def _norm_step(self, seq: Sequent, memo: Set[tuple]):
-        red = find_redex(seq, self.cfg, self.rng)
+        red = find_redex(seq, self.cfg)
         if red is not None:
             frm, to = red.subst
             return from_applied(red), _rewrite_memo_label(memo, frm, to)
@@ -392,7 +305,7 @@ class Prover:
             s = score(a)
             if s > best_score:
                 best, best_score = a, s
-                if self.heuristic and s >= 2:
+                if s >= 2:
                     break    # greedy: a fully matching atom needs no further scan
         return best
 
@@ -408,15 +321,15 @@ class Prover:
                     + ((a[1], f.args[1]) in seq.gamma_set),
                     min_score)
                 if a is not None:
-                    return ("*R", lf, a), RuleInstance(Rule.STAR_R,
-                                                       principal_delta=(lf,),
-                                                       principal_rels=(a,))
+                    return (("*R", lf, a),), RuleInstance(Rule.STAR_R,
+                                                          principal_delta=(lf,),
+                                                          principal_rels=(a,))
             elif f.kind == "exists" and self.cfg.heap_extension and min_score > 0:
-                t = self._witness(seq, lf, memo)
-                if t is not None:
-                    return ("exR", lf, t), RuleInstance(Rule.EXISTS_R,
-                                                        principal_delta=(lf,),
-                                                        exprs=(t,))
+                got = self._witness(seq, lf, memo)
+                if got is not None:
+                    keys, t = got
+                    return keys, RuleInstance(Rule.EXISTS_R,
+                                              principal_delta=(lf,), exprs=(t,))
         for lf in seq.gamma:
             w, f = lf
             if f.kind == "wand":
@@ -427,9 +340,9 @@ class Prover:
                     + ((a[2], f.args[1]) in seq.delta_set),
                     min_score)
                 if a is not None:
-                    return ("-*L", lf, a), RuleInstance(Rule.WAND_L,
-                                                        principal_gamma=(lf,),
-                                                        principal_rels=(a,))
+                    return (("-*L", lf, a),), RuleInstance(Rule.WAND_L,
+                                                           principal_gamma=(lf,),
+                                                           principal_rels=(a,))
             elif (f.kind == "mapsto" and self.cfg.heap_extension
                   and min_score > 0):
                 for a in seq.rel:
@@ -437,9 +350,9 @@ class Prover:
                         continue
                     key = ("L2", lf, a)
                     if key not in memo:
-                        return key, RuleInstance(Rule.MAPSTO_L2,
-                                                 principal_gamma=(lf,),
-                                                 principal_rels=(a,))
+                        return (key,), RuleInstance(Rule.MAPSTO_L2,
+                                                    principal_gamma=(lf,),
+                                                    principal_rels=(a,))
         if min_score == 0:
             if self.cfg.splittability:
                 ob = self._split_obligation(seq, memo)
@@ -451,13 +364,15 @@ class Prover:
                     return ob
         return None
 
-    def _witness(self, seq: Sequent, lf, memo: Set[tuple]) -> Optional[str]:
-        for t in sorted(occurring_exprs(seq)):
+    def _witness(self, seq: Sequent, lf, memo: Set[tuple]):
+        """Memo keys and an untried instance for the existential lf: each
+        occurring expression once, then one fresh name once."""
+        *occurring, fresh = witnesses(seq)
+        for t in occurring:
             if ("exR", lf, t) not in memo:
-                return t
+                return (("exR", lf, t),), t
         if ("exR-fresh", lf) not in memo:
-            memo.add(("exR-fresh", lf))
-            return fresh_expr_name(seq)
+            return (("exR", lf, fresh), ("exR-fresh", lf)), fresh
         return None
 
     def _split_obligation(self, seq, memo):
@@ -466,9 +381,9 @@ class Prover:
                 continue
             key = ("S", q)
             if key not in memo:
-                return key, RuleInstance(Rule.S, principal_ineqs=(q,),
-                                         fresh=(seq.fresh_label(),
-                                                seq.fresh_label() + 1))
+                return (key,), RuleInstance(Rule.S, principal_ineqs=(q,),
+                                            fresh=(seq.fresh_label(),
+                                                   seq.fresh_label() + 1))
         # excluded middle on emptiness, for labels that emp talks about
         targets = set(w for (w, _) in seq.ineq if w != EPS)
         for (w, f) in seq.gamma + seq.delta:
@@ -477,7 +392,7 @@ class Prover:
         for w in sorted(targets):
             key = ("EM", w)
             if key not in memo:
-                return key, RuleInstance(Rule.EM, labels=(w,))
+                return (key,), RuleInstance(Rule.EM, labels=(w,))
         return None
 
     def _cross_split_obligation(self, seq, memo, find):
@@ -488,8 +403,8 @@ class Prover:
             key = ("CSC", a1)
             if key not in memo:
                 f = seq.fresh_label()
-                return key, RuleInstance(Rule.CS_C, principal_rels=(a1,),
-                                         fresh=(f, f + 1, f + 2, f + 3))
+                return (key,), RuleInstance(Rule.CS_C, principal_rels=(a1,),
+                                            fresh=(f, f + 1, f + 2, f + 3))
             for a2 in rel[i + 1:]:
                 if a2[0] == EPS or a2[1] == EPS:
                     continue
@@ -498,8 +413,8 @@ class Prover:
                 key = ("CS", a1, a2)
                 if key not in memo:
                     f = seq.fresh_label()
-                    return key, RuleInstance(Rule.CS, principal_rels=(a1, a2),
-                                             fresh=(f, f + 1, f + 2, f + 3))
+                    return (key,), RuleInstance(Rule.CS, principal_rels=(a1, a2),
+                                                fresh=(f, f + 1, f + 2, f + 3))
         return None
 
     # -- phase 5: structural rounds -------------------------------------------
@@ -552,9 +467,6 @@ class Prover:
         return False
 
 
-def prove(goal: Formula, cfg: LogicConfig,
-          limits: SearchLimits = SearchLimits(), backjump: bool = True,
-          heuristic: bool = True, seed: Optional[int] = None):
+def prove(goal: Formula, cfg: LogicConfig, limits: SearchLimits = SearchLimits()):
     """Decide goal under cfg.  Returns Valid, NotProved or ResourceExhausted."""
-    rng = random.Random(seed) if seed is not None else None
-    return Prover(cfg, limits, backjump, heuristic, rng).prove(goal)
+    return Prover(cfg, limits).prove(goal)

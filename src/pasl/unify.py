@@ -8,8 +8,7 @@ label keeps the identity label e from ever being eliminated.
 """
 from __future__ import annotations
 
-import random
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .config import LogicConfig
 from .sequent import EPS, Label, RelAtom, Sequent
@@ -19,12 +18,6 @@ class AppliedRule(NamedTuple):
     rule: str                      # Eq1, Eq2, P, C, IU or D
     atoms: Tuple[RelAtom, ...]     # the atoms that triggered it
     subst: Tuple[Label, Label]     # (replaced, replacement)
-
-
-class NormResult(NamedTuple):
-    sequent: Sequent
-    applied: Tuple[AppliedRule, ...]
-    mapping: Dict[Label, Label]    # composed substitution on original labels
 
 
 def _eq_redex(atom: RelAtom) -> Optional[AppliedRule]:
@@ -37,18 +30,14 @@ def _eq_redex(atom: RelAtom) -> Optional[AppliedRule]:
     return AppliedRule(rule, (atom,), (frm, to))
 
 
-def find_redex(seq: Sequent, cfg: LogicConfig,
-               rng: Optional[random.Random] = None) -> Optional[AppliedRule]:
-    rel: List[RelAtom] = list(seq.rel)
-    if rng is not None:
-        rng.shuffle(rel)
-    for atom in rel:
+def find_redex(seq: Sequent, cfg: LogicConfig) -> Optional[AppliedRule]:
+    for atom in seq.rel:
         r = _eq_redex(atom)
         if r is not None:
             return r
     if cfg.partial_determinism:
         seen: Dict[Tuple[Label, Label], RelAtom] = {}
-        for atom in rel:
+        for atom in seq.rel:
             x, y, z = atom
             prev = seen.get((x, y))
             if prev is not None and prev[2] != z:
@@ -57,7 +46,7 @@ def find_redex(seq: Sequent, cfg: LogicConfig,
             seen[(x, y)] = atom
     if cfg.cancellativity:
         seen = {}
-        for atom in rel:
+        for atom in seq.rel:
             x, y, z = atom
             prev = seen.get((x, z))
             if prev is not None and prev[1] != y:
@@ -65,32 +54,16 @@ def find_redex(seq: Sequent, cfg: LogicConfig,
                 return AppliedRule("C", (prev, atom), (frm, to))
             seen[(x, z)] = atom
     if cfg.indivisible_unit or cfg.disjointness:
-        for atom in rel:
+        for atom in seq.rel:
             x, y, z = atom
             if z == EPS and x != EPS:
                 return AppliedRule("IU", (atom,), (x, EPS))
     if cfg.disjointness:
-        for atom in rel:
+        for atom in seq.rel:
             x, y, z = atom
             if x == y and x != EPS:
                 return AppliedRule("D", (atom,), (x, EPS))
     return None
-
-
-def normalize(seq: Sequent, cfg: LogicConfig,
-              rng: Optional[random.Random] = None) -> NormResult:
-    mapping = {w: w for w in seq.labels}
-    applied = []
-    while True:
-        r = find_redex(seq, cfg, rng)
-        if r is None:
-            return NormResult(seq, tuple(applied), mapping)
-        frm, to = r.subst
-        seq = seq.subst_label(frm, to)
-        for k, v in mapping.items():
-            if v == frm:
-                mapping[k] = to
-        applied.append(r)
 
 
 class UnionFind:

@@ -2,8 +2,8 @@
 
 End-to-end checks: the shipped benchmark corpora, a known unprovable
 formula, oracle cross-validation on random formula fleets, per-rule
-soundness against enumerated finite frames, normalization properties,
-and optimization neutrality.  Each test prints one summary line.
+soundness against enumerated finite frames and normalization
+properties.  Each test prints one summary line.
 """
 import itertools
 import os
@@ -13,7 +13,7 @@ import time
 import pytest
 
 import pasl
-from pasl.calculus import Rule, RuleInstance, check, expand
+from pasl.calculus import Rule, RuleInstance, check, expand, from_applied
 from pasl.cli import load_corpus
 from pasl.config import preset
 from pasl.formula import BOT, EMP, TOP, conj, disj, imp, neg, parse, prop, star, wand
@@ -21,7 +21,7 @@ from pasl.oracle import (FrameModel, assignments, enumerate_frames,
                          find_countermodel, satisfies, sequent_falsifiable)
 from pasl.search import NotProved, ResourceExhausted, SearchLimits, Valid, prove
 from pasl.sequent import EPS, Sequent
-from pasl.unify import find_redex, normalize
+from pasl.unify import find_redex
 
 DATA = os.path.join(os.path.dirname(pasl.__file__), "data")
 
@@ -35,15 +35,14 @@ def report(line):
     print("\n" + line)
 
 
-def run_corpus(backjump=True, heuristic=True):
+def run_corpus():
     out = []
     for path, budget in (("table1.corpus", None), ("table2.corpus", 10.0)):
         for e in load_corpus(os.path.join(DATA, path)):
             per_row = budget or ROW_BUDGET_S.get(e.id, DEFAULT_BUDGET_S)
             limits = SearchLimits(wall_clock_ms=int(per_row * 1000))
             t0 = time.monotonic()
-            v = prove(parse(e.formula), preset(e.cfg), limits,
-                      backjump=backjump, heuristic=heuristic)
+            v = prove(parse(e.formula), preset(e.cfg), limits)
             out.append((e, v, time.monotonic() - t0))
     return out
 
@@ -573,6 +572,28 @@ def test_rule_soundness():
     assert ok
 
 
+def normalize(seq, cfg):
+    """Apply label redexes through the calculus, as the search does, until
+    none is left.  Returns the final sequent, the number of rules applied
+    and the partition of the original labels that the substitutions induce."""
+    mapping = {w: w for w in seq.labels}
+    steps = 0
+    while True:
+        r = find_redex(seq, cfg)
+        if r is None:
+            break
+        (seq,) = expand(seq, from_applied(r), cfg)
+        frm, to = r.subst
+        for k, v in mapping.items():
+            if v == frm:
+                mapping[k] = to
+        steps += 1
+    groups = {}
+    for k, v in mapping.items():
+        groups.setdefault(v, set()).add(k)
+    return seq, steps, frozenset(frozenset(g) for g in groups.values())
+
+
 def test_normalization_properties():
     rng = random.Random(555)
     cfgs = [preset(n) for n in
@@ -583,41 +604,22 @@ def test_normalization_properties():
         natoms = rng.randint(1, 20)
         rel = tuple(tuple(rng.randint(0, nlabels) for _ in range(3))
                     for _ in range(natoms))
-        seq = Sequent(rel=rel)
         cfg = rng.choice(cfgs)
-        res = normalize(seq, cfg)
+        seq, _, base = normalize(Sequent(rel=rel), cfg)
         # terminates at a fixpoint
-        assert find_redex(res.sequent, cfg) is None
-        again = normalize(res.sequent, cfg)
-        assert again.sequent == res.sequent and again.applied == ()
-        # the induced label partition ignores scan order
-        def partition(mapping):
-            groups = {}
-            for k, v in mapping.items():
-                groups.setdefault(v, set()).add(k)
-            return frozenset(frozenset(g) for g in groups.values())
-        base = partition(res.mapping)
+        assert find_redex(seq, cfg) is None
+        again, steps, _ = normalize(seq, cfg)
+        assert again == seq and steps == 0
+        # the induced label partition ignores the order of the atoms
         for seed in (1, 2):
-            shuffled = normalize(seq, cfg, random.Random(seed))
-            if partition(shuffled.mapping) != base:
+            order = list(rel)
+            random.Random(seed).shuffle(order)
+            if normalize(Sequent(rel=tuple(order)), cfg)[2] != base:
                 mismatches += 1
                 break
     ok = mismatches == 0
     report("normalization: %s (10000 sequents, %d partition mismatches)"
            % ("PASS" if ok else "FAIL", mismatches))
-    assert ok
-
-
-def test_optimization_neutrality(corpus_runs):
-    base = {e.id: type(v).__name__ for (e, v, _) in corpus_runs}
-    diffs = []
-    for kw in ({"backjump": False}, {"heuristic": False}):
-        for (e, v, _) in run_corpus(**kw):
-            if type(v).__name__ != base[e.id]:
-                diffs.append((e.id, kw, type(v).__name__))
-    ok = not diffs
-    report("optimization neutrality: %s (%d rows x 2 variants, %d diffs)"
-           % ("PASS" if ok else "FAIL %r" % diffs, len(base), len(diffs)))
     assert ok
 
 

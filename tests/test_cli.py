@@ -1,7 +1,9 @@
 """Command line interface."""
 import pytest
 
+from pasl import cli
 from pasl.cli import load_corpus, main
+from pasl.formula import parse
 
 
 def run(capsys, *argv):
@@ -60,6 +62,13 @@ def test_error_exits(capsys):
     assert code == 3
 
 
+def test_deep_nesting_exits_as_error(capsys):
+    # the recursive parser runs out of stack: an error, not a verdict
+    code, out, err = run(capsys, "prove", "~" * 3000 + "a")
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_bench_ok_and_mismatch(tmp_path, capsys):
     corpus = tmp_path / "c.corpus"
     corpus.write_text(
@@ -74,6 +83,30 @@ def test_bench_ok_and_mismatch(tmp_path, capsys):
     code, out, _ = run(capsys, "bench", str(corpus))
     assert code == 1
     assert "MISMATCH" in out
+
+
+def test_bench_row_error_continues(tmp_path, capsys, monkeypatch):
+    corpus = tmp_path / "c.corpus"
+    corpus.write_text(
+        "ok-1\tbbi\tValid\ta -> a\n"
+        "boom\tbbi\tValid\tb -> b\n"
+        "ok-2\tbbi\tNotValid\ta -> a * a\n")
+    real = cli.prove
+
+    def prove(goal, cfg, limits):
+        if goal is parse("b -> b"):
+            raise RuntimeError("search broke")
+        return real(goal, cfg, limits)
+
+    monkeypatch.setattr(cli, "prove", prove)
+    code, out, err = run(capsys, "bench", str(corpus))
+    assert code == 3
+    rows = out.splitlines()
+    assert [r.split()[0] for r in rows[:3]] == ["ok-1", "boom", "ok-2"]
+    assert rows[1].split()[2] == "error" and rows[1].endswith("MISMATCH")
+    assert "2/3 expectations matched" in out
+    assert err.startswith("error: boom: RuntimeError: search broke [test_cli.py:")
+    assert len(err.splitlines()) == 1
 
 
 def test_load_corpus_rejects_malformed(tmp_path):

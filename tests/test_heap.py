@@ -2,10 +2,8 @@
 from pasl.calculus import Rule, expand
 from pasl.config import preset
 from pasl.formula import parse
-from pasl.heap import (
-    find_heap_redex, fresh_expr_name, mapsto_split_candidates,
-    occurring_exprs, witnesses,
-)
+from pasl.heap import find_heap_redex, fresh_expr_name, occurring_exprs, witnesses
+from pasl.search import Prover
 from pasl.sequent import EPS, Sequent
 
 SEP = preset("separata+")
@@ -59,9 +57,23 @@ def test_occurring_and_fresh_exprs():
 
 
 def test_mapsto_split_candidates():
+    # the atoms the search splits a cell's world over with |->L2: those
+    # whose target the identity atoms equate with the cell's label and
+    # whose two parts are not e
     cell = (5, parse("x |-> y"))
-    s = Sequent(rel=((2, 3, 5), (1, 2, 4)), gamma=(cell,))
-    assert mapsto_split_candidates(s) == [(cell, (2, 3, 5))]
+    s = Sequent(rel=((2, 3, 5), (1, 2, 4), (EPS, 6, 5), (4, 1, 6), (EPS, 3, 5),
+                     (3, EPS, 5)),
+                gamma=(cell,))
+    prover, memo, picked = Prover(SEP), set(), []
+    while True:
+        ob = prover._obligation(s, memo, min_score=1)
+        if ob is None:
+            break
+        keys, inst = ob
+        assert inst.rule is Rule.MAPSTO_L2 and inst.principal_gamma == (cell,)
+        picked.extend(inst.principal_rels)
+        memo |= set(keys)
+    assert picked == [(2, 3, 5), (4, 1, 6)]
 
 
 def test_mapsto_l2_collapses_one_side():

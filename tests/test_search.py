@@ -99,15 +99,6 @@ def test_resource_exhaustion_reports_limit():
     assert isinstance(v, ResourceExhausted)
 
 
-def test_flags_do_not_change_verdict_kind():
-    samples = THEOREMS_BBI + ["a -> (a * a)", "(a * b) -> a", "emp -> a"]
-    for s in samples:
-        base = type(prove(parse(s), BBI)).__name__
-        for kw in ({"backjump": False}, {"heuristic": False},
-                   {"backjump": False, "heuristic": False}):
-            assert type(prove(parse(s), BBI, **kw)).__name__ == base, (s, kw)
-
-
 def test_prover_accepts_sequents_directly():
     from pasl.sequent import initial_sequent
     p = Prover(BBI)
@@ -115,9 +106,9 @@ def test_prover_accepts_sequents_directly():
     assert isinstance(v, Valid)
 
 
-def test_seeded_search_is_reproducible():
+def test_search_is_reproducible():
     f = parse("(a * (b * c)) -> ((a * b) * c)")
-    v1 = prove(f, PASL, seed=42)
-    v2 = prove(f, PASL, seed=42)
+    v1 = prove(f, PASL)
+    v2 = prove(f, PASL)
     assert isinstance(v1, Valid) and isinstance(v2, Valid)
     assert v1.proof == v2.proof
