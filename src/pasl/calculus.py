@@ -13,10 +13,10 @@ from enum import Enum
 from typing import List, Optional, Tuple
 
 from .config import LogicConfig
-from .formula import BOT, EMP, TOP, Formula, subst_expr
+from .formula import BOT, EMP, TOP, Formula, free_exprs, subst_expr
 from .sequent import (EPS, Ineq, Label, LabelledFormula, RelAtom, Sequent,
                       label_name)
-from .unify import AppliedRule, entails_eq
+from .unify import AppliedRule, entails_eq, eq_find
 
 
 class Rule(Enum):
@@ -155,17 +155,25 @@ def _merge(seq: Sequent, a: Label, b: Label) -> Sequent:
 def expand(seq: Sequent, inst: RuleInstance, cfg: LogicConfig) -> Tuple[Sequent, ...]:
     """Premises of applying inst to seq; raises RuleError if not applicable."""
     r = inst.rule
-    _need(rule_enabled(r, cfg), "rule %s disabled in %s" % (r.value, cfg.name()))
+    # the messages are built only on failure: formatting formulas costs
+    # more than the membership tests themselves
+    if not rule_enabled(r, cfg):
+        raise RuleError("rule %s disabled in %s" % (r.value, cfg.name()))
     for lf in inst.principal_gamma:
-        _need(lf in seq.gamma_set, "missing antecedent %s: %s" % (label_name(lf[0]), lf[1]))
+        if lf not in seq.gamma_set:
+            raise RuleError("missing antecedent %s: %s" % (label_name(lf[0]), lf[1]))
     for lf in inst.principal_delta:
-        _need(lf in seq.delta_set, "missing succedent %s: %s" % (label_name(lf[0]), lf[1]))
+        if lf not in seq.delta_set:
+            raise RuleError("missing succedent %s: %s" % (label_name(lf[0]), lf[1]))
     for a in inst.principal_rels:
-        _need(a in seq.rel_set, "missing relational atom %r" % (a,))
+        if a not in seq.rel_set:
+            raise RuleError("missing relational atom %r" % (a,))
     for q in inst.principal_ineqs:
-        _need(q in seq.ineq_set, "missing inequality %r" % (q,))
+        if q not in seq.ineq_set:
+            raise RuleError("missing inequality %r" % (q,))
     for w in inst.fresh:
-        _need(w not in seq.labels, "label %s not fresh" % label_name(w))
+        if w in seq.labels:
+            raise RuleError("label %s not fresh" % label_name(w))
 
     # zero-premise rules
     if r is Rule.ID:
@@ -248,9 +256,9 @@ def expand(seq: Sequent, inst: RuleInstance, cfg: LogicConfig) -> Tuple[Sequent,
         (v,) = inst.exprs
         occurring = set()
         for (_, g) in seq.gamma + seq.delta:
-            from .formula import free_exprs
             occurring |= free_exprs(g)
-        _need(v not in occurring, "witness %s not fresh" % v)
+        if v in occurring:
+            raise RuleError("witness %s not fresh" % v)
         body = subst_expr(f.args[1], f.args[0], v)
         return (seq.extend(gamma=[(w, body)], drop_gamma=[(w, f)]),)
     if r is Rule.EXISTS_R:
@@ -399,16 +407,17 @@ def check(deriv: Derivation, cfg: LogicConfig) -> bool:
         concl, d = stack.pop()
         _need(d.instance is not None, "open leaf in derivation")
         premises = expand(concl, d.instance, cfg)
-        _need(len(premises) == len(d.premises),
-              "rule %s expects %d premises, got %d"
-              % (d.instance.rule.value, len(premises), len(d.premises)))
+        if len(premises) != len(d.premises):
+            raise RuleError("rule %s expects %d premises, got %d"
+                            % (d.instance.rule.value, len(premises), len(d.premises)))
         for want, got in zip(premises, d.premises):
             if got.conclusion is not None:
-                _need(want.rel_set == got.conclusion.rel_set
-                      and want.ineq_set == got.conclusion.ineq_set
-                      and want.gamma_set == got.conclusion.gamma_set
-                      and want.delta_set == got.conclusion.delta_set,
-                      "premise mismatch under rule %s" % d.instance.rule.value)
+                if not (want.rel_set == got.conclusion.rel_set
+                        and want.ineq_set == got.conclusion.ineq_set
+                        and want.gamma_set == got.conclusion.gamma_set
+                        and want.delta_set == got.conclusion.delta_set):
+                    raise RuleError("premise mismatch under rule %s"
+                                    % d.instance.rule.value)
                 want = got.conclusion
             stack.append((want, got))
     return True
@@ -416,7 +425,6 @@ def check(deriv: Derivation, cfg: LogicConfig) -> bool:
 
 def closures(seq: Sequent, cfg: LogicConfig) -> Optional[RuleInstance]:
     """Find a zero-premise rule instance closing seq, if any."""
-    from .unify import eq_find
     find = eq_find(seq)
     left = {}
     for lf in seq.gamma:

@@ -41,7 +41,9 @@ class SearchLimits:
     max_structural_rounds: int = 12
     max_rule_apps: int = 200000        # along any single branch
     max_rel_atoms: int = 5000          # per-sequent composition atom budget
-    max_live_atoms: int = 10000000     # atoms retained across the branch stack
+    # relational atoms summed over the rule applications on the current
+    # branch stack: each adds len(rel) of the sequent it was applied to
+    max_live_atoms: int = 10000000
     wall_clock_ms: Optional[int] = None
 
 
@@ -150,23 +152,26 @@ class Prover:
         return apps
 
     def _push(self, trail, seq: Sequent, inst: RuleInstance) -> None:
-        trail.append((seq, inst))
-        self.live_atoms += len(seq.rel)
+        # keep the instance for _fold and the atom count for _branch, not
+        # the sequent: it is dead once its successor has been computed
+        n = len(seq.rel)
+        trail.append((inst, n))
+        self.live_atoms += n
 
     def _branch(self, seq: Sequent, memo: Set[tuple], apps: int,
                 rounds: int) -> Derivation:
-        trail: List[Tuple[Sequent, RuleInstance]] = []
+        trail: List[Tuple[RuleInstance, int]] = []
         try:
             return self._branch_loop(seq, memo, apps, rounds, trail)
         finally:
-            self.live_atoms -= sum(len(s.rel) for (s, _) in trail)
+            self.live_atoms -= sum(n for (_, n) in trail)
 
     def _branch_loop(self, seq, memo, apps, rounds, trail):
-        def apply_unary(inst):
+        def apply_unary(inst, premises=None):
             nonlocal seq, apps
             apps = self._tick(apps, seq)
             self._push(trail, seq, inst)
-            (seq,) = expand(seq, inst, self.cfg)
+            (seq,) = premises if premises is not None else expand(seq, inst, self.cfg)
 
         while True:
             inst = closures(seq, self.cfg)
@@ -184,7 +189,10 @@ class Prover:
                 continue
 
             inst = self._invertible_branching(seq)
-            if inst is None:
+            if inst is not None:
+                apps = self._tick(apps, seq)
+                premises = expand(seq, inst, self.cfg)
+            else:
                 ob = self._obligation(seq, memo, min_score=1)
                 if ob is None:
                     if rounds < self.round_cap:
@@ -202,22 +210,25 @@ class Prover:
                             raise _Exhausted("structural rounds")
                 keys, inst = ob
                 memo = memo.union(keys)
-                if len(expand(seq, inst, self.cfg)) == 1:
-                    apply_unary(inst)
+                # its premise count decides whether it extends this branch
+                # or splits it
+                premises = expand(seq, inst, self.cfg)
+                if len(premises) == 1:
+                    apply_unary(inst, premises)
                     continue
-            apps = self._tick(apps, seq)
-            return self._split(seq, inst, trail, memo, apps, rounds)
+                apps = self._tick(apps, seq)
+            return self._split(inst, premises, trail, memo, apps, rounds)
 
     def _fold(self, trail, deriv: Derivation) -> Derivation:
-        for _, inst in reversed(trail):
+        for inst, _ in reversed(trail):
             deriv = Derivation(None, inst, (deriv,))
         return deriv
 
-    def _split(self, seq, inst, trail, memo, apps, rounds):
+    def _split(self, inst, premises, trail, memo, apps, rounds):
         # a loop, not a comprehension: a comprehension's frame would make
         # every branching level one frame deeper
         subderivs = []
-        for p in expand(seq, inst, self.cfg):
+        for p in premises:
             subderivs.append(self._branch(p, memo, apps, rounds))
         return self._fold(trail, Derivation(None, inst, tuple(subderivs)))
 
@@ -381,9 +392,9 @@ class Prover:
                 continue
             key = ("S", q)
             if key not in memo:
+                f = seq.fresh_label()
                 return (key,), RuleInstance(Rule.S, principal_ineqs=(q,),
-                                            fresh=(seq.fresh_label(),
-                                                   seq.fresh_label() + 1))
+                                            fresh=(f, f + 1))
         # excluded middle on emptiness, for labels that emp talks about
         targets = set(w for (w, _) in seq.ineq if w != EPS)
         for (w, f) in seq.gamma + seq.delta:

@@ -1,12 +1,14 @@
 """Rule engine: expansion, closure finding, derivation checking."""
 import pytest
 
+import pasl.formula
 from pasl.calculus import (
     Derivation, Rule, RuleError, RuleInstance, check, closures, expand,
     from_applied, rule_enabled,
 )
 from pasl.config import preset
 from pasl.formula import EMP, TOP, parse
+from pasl.search import Valid, prove
 from pasl.sequent import EPS, Sequent, initial_sequent
 from pasl.unify import AppliedRule
 
@@ -240,3 +242,59 @@ def test_check_rejects_open_leaf():
     s0 = initial_sequent(parse("a -> a"))
     with pytest.raises(RuleError):
         check(Derivation(s0), BBI)
+
+
+def test_rule_error_messages():
+    f = parse("a * b")
+    cases = [
+        (Sequent(rel=((1, 2, 3), (1, 2, 4))),
+         RuleInstance(Rule.P, principal_rels=((1, 2, 3), (1, 2, 4)), subst=((4, 3),)),
+         "rule P disabled in bbi"),
+        (Sequent(), RuleInstance(Rule.STAR_L, principal_gamma=((1, f),), fresh=(2, 3)),
+         "missing antecedent a1: a * b"),
+        (Sequent(), RuleInstance(Rule.STAR_R, principal_delta=((EPS, f),),
+                                 principal_rels=((2, 3, 1),)),
+         "missing succedent e: a * b"),
+        (Sequent(delta=((1, f),)),
+         RuleInstance(Rule.STAR_R, principal_delta=((1, f),),
+                      principal_rels=((2, 3, 1),)),
+         "missing relational atom (2, 3, 1)"),
+        (Sequent(), RuleInstance(Rule.S, principal_ineqs=((1, EPS),), fresh=(2, 3)),
+         "missing inequality (1, 0)"),
+        (Sequent(gamma=((1, f),)),
+         RuleInstance(Rule.STAR_L, principal_gamma=((1, f),), fresh=(1, 2)),
+         "label a1 not fresh"),
+    ]
+    for seq, inst, msg in cases:
+        cfg = BBI_S if inst.rule is Rule.S else BBI
+        with pytest.raises(RuleError) as e:
+            expand(seq, inst, cfg)
+        assert str(e.value) == msg
+
+    goal = parse("a -> a")
+    s0 = initial_sequent(goal)
+    i1 = RuleInstance(Rule.IMP_R, principal_delta=((1, goal),))
+    s1 = step(s0, i1, BBI)
+    with pytest.raises(RuleError) as e:
+        check(Derivation(s0, i1, ()), BBI)
+    assert str(e.value) == "rule ->R expects 1 premises, got 0"
+    wrong = Sequent(gamma=((1, parse("b")),), delta=((1, parse("b")),))
+    leaf = close(s1, BBI)
+    with pytest.raises(RuleError) as e:
+        check(Derivation(s0, i1, (Derivation(wrong, leaf.instance, ()),)), BBI)
+    assert str(e.value) == "premise mismatch under rule ->R"
+
+
+def test_passing_checks_format_nothing(monkeypatch):
+    # rule preconditions build their messages only when they fail
+    goal = parse("(a * (b * c)) -> ((a * b) * c)")
+    calls = []
+    show = pasl.formula._show
+
+    def counting(f, ctx):
+        calls.append(f)
+        return show(f, ctx)
+
+    monkeypatch.setattr(pasl.formula, "_show", counting)
+    assert isinstance(prove(goal, PASL), Valid)
+    assert calls == []

@@ -1,4 +1,6 @@
 """End-to-end proof search."""
+import tracemalloc
+
 import pytest
 
 from pasl.calculus import check
@@ -112,3 +114,34 @@ def test_search_is_reproducible():
     v2 = prove(f, PASL)
     assert isinstance(v1, Valid) and isinstance(v2, Valid)
     assert v1.proof == v2.proof
+
+
+NEGATIVE_CONTROL = "(emp /\\ (a * b)) -> a"
+
+
+def test_memory_limit_bounds_what_the_search_retains():
+    # the branch trail keeps rule instances and atom counts, not the
+    # sequents they were applied to, so reaching the live-atom limit
+    # costs far less memory than the atoms it counts
+    p = Prover(PASL, SearchLimits(max_live_atoms=100_000))
+    goal = parse(NEGATIVE_CONTROL)
+    tracemalloc.start()
+    try:
+        v = p.prove(goal)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert v == ResourceExhausted("memory")
+    assert peak < 2_000_000
+
+
+def test_live_atoms_balance_after_every_verdict():
+    cases = [
+        ("(a * b) -> (b * a)", SearchLimits(), Valid),
+        ("(a * b) -> a", SearchLimits(), NotProved),
+        (NEGATIVE_CONTROL, SearchLimits(max_live_atoms=10_000), ResourceExhausted),
+    ]
+    for s, limits, kind in cases:
+        p = Prover(PASL, limits)
+        assert isinstance(p.prove(parse(s)), kind), s
+        assert p.live_atoms == 0, s
