@@ -155,6 +155,8 @@ def cmd_check_model(args) -> int:
             return EXIT_ERROR
         goal = parse(args.formula)
         at = args.world if args.world is not None else (world or 0)
+        if not 0 <= at < model.size:
+            raise ValueError("world %d is not in a model of %d worlds" % (at, model.size))
         result = satisfies(model, at, goal)
     except (OSError, ValueError, ConfigError) as e:
         print("error: %s" % e, file=sys.stderr)

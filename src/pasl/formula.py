@@ -5,6 +5,7 @@ object, so equality and hashing are identity based and cheap.
 """
 from __future__ import annotations
 
+import re
 from typing import Dict, Iterator, Tuple
 
 
@@ -171,38 +172,32 @@ _ALIASES = [
     ("−∗", "-*"), ("−o", "-o"), ("∗", "*"), ("↦", "|->"),
 ]
 
-_SYMBOLS = ["|->", "-*", "-o", "->", "/\\", "\\/", "~", "*", "(", ")", "=", "."]
+# an operator symbol, a word, or any other non-blank character; the
+# blanks between matches are skipped
+_TOKEN = re.compile(r"(\|->|-\*|-o|->|/\\|\\/|[~*()=.])|(\w+)|(\S)")
 
 
 def _tokenize(s: str) -> list:
     for uni, asc in _ALIASES:
         s = s.replace(uni, asc)
     toks = []
-    i, n = 0, len(s)
-    while i < n:
-        c = s[i]
-        if c.isspace():
-            i += 1
-            continue
-        for sym in _SYMBOLS:
-            if s.startswith(sym, i):
-                toks.append((sym, i))
-                i += len(sym)
-                break
-        else:
-            if c.isalpha() and c.islower():
-                j = i + 1
-                while j < n and (s[j].isalnum() or s[j] == "_"):
-                    j += 1
-                toks.append((s[i:j], i))
-                i = j
-            else:
-                raise ParseError("unexpected character %r" % c, i)
-    toks.append((None, n))
+    for m in _TOKEN.finditer(s):
+        tok, i = m.group(), m.start()
+        if m.lastindex != 1 and not (tok[0].isalpha() and tok[0].islower()):
+            # identifiers start with a lowercase letter
+            raise ParseError("unexpected character %r" % tok[0], i)
+        toks.append((tok, i))
+    toks.append((None, len(s)))
     return toks
 
 
 _KEYWORDS = {"true", "false", "emp", "exists"}
+
+# binary connectives: precedence, right associative?, constructor
+_BINARY = {
+    "->": (1, True, imp), "-*": (2, True, wand), "-o": (2, True, septraction),
+    "\\/": (3, False, disj), "/\\": (4, False, conj), "*": (5, False, star),
+}
 
 
 class _Parser:
@@ -230,43 +225,17 @@ class _Parser:
         t = self.peek()
         return t is not None and t not in _KEYWORDS and t[0].isalpha()
 
-    def formula(self) -> Formula:
-        left = self.wand_()
-        if self.peek() == "->":
-            self.next()
-            return imp(left, self.formula())
-        return left
-
-    def wand_(self) -> Formula:
-        left = self.or_()
-        if self.peek() == "-*":
-            self.next()
-            return wand(left, self.wand_())
-        if self.peek() == "-o":
-            self.next()
-            return septraction(left, self.wand_())
-        return left
-
-    def or_(self) -> Formula:
-        left = self.and_()
-        while self.peek() == "\\/":
-            self.next()
-            left = disj(left, self.and_())
-        return left
-
-    def and_(self) -> Formula:
-        left = self.star_()
-        while self.peek() == "/\\":
-            self.next()
-            left = conj(left, self.star_())
-        return left
-
-    def star_(self) -> Formula:
+    def formula(self, min_prec: int = 1) -> Formula:
+        """Precedence climbing: the longest formula whose top-level binary
+        connectives all bind at least as tightly as min_prec."""
         left = self.unary()
-        while self.peek() == "*":
+        while True:
+            op = _BINARY.get(self.peek())
+            if op is None or op[0] < min_prec:
+                return left
+            prec, right_assoc, build = op
             self.next()
-            left = star(left, self.unary())
-        return left
+            left = build(left, self.formula(prec if right_assoc else prec + 1))
 
     def unary(self) -> Formula:
         if self.peek() == "~":

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, FrozenSet, Iterator, Optional, Tuple
 
 from .config import LogicConfig
@@ -60,101 +59,171 @@ def satisfies(model: FrameModel, world: int, f: Formula) -> bool:
     raise ValueError("cannot evaluate %r in a frame model" % k)
 
 
-def check_conditions(rel: FrozenSet[Triple], n: int, cfg: LogicConfig) -> bool:
-    for a in range(n):
-        if (a, 0, a) not in rel:
-            return False
+def _table(rel, n: int):
+    """rel as a composition table: comp[a * n + b] is the bitmask of the c
+    with (a,b,c) in rel and targets[a * n + b] lists them.  None if rel
+    names a world outside 0..n-1."""
+    comp = [0] * (n * n)
+    targets = [[] for _ in range(n * n)]
     for (a, b, c) in rel:
-        if b == 0 and a != c:
+        if not (0 <= a < n and 0 <= b < n and 0 <= c < n):
+            return None
+        comp[a * n + b] |= 1 << c
+        targets[a * n + b].append(c)
+    return comp, targets
+
+
+def _is_monoid(comp, targets, n: int) -> bool:
+    """0 is a unit (a + 0 is exactly a), + is commutative, and every
+    h1 + (h2 + h3) can be rebracketed as (h1 + h2) + h3."""
+    for a in range(n):
+        if comp[a * n] != 1 << a:
             return False
-        if (b, a, c) not in rel:
-            return False
-    # associativity: two-step combinations can be rebracketed
-    by_out: Dict[int, list] = {}
-    for t in rel:
-        by_out.setdefault(t[2], []).append(t)
-    for (h1, h5, h4) in rel:
-        for (h2, h3, _) in by_out.get(h5, ()):
-            if not any((h1, h2, h6) in rel and (h6, h3, h4) in rel
-                       for h6 in range(n)):
+        for b in range(a + 1, n):
+            if comp[a * n + b] != comp[b * n + a]:
                 return False
-    if cfg.partial_determinism:
-        seen: Dict[Tuple[int, int], int] = {}
-        for (a, b, c) in rel:
-            if seen.setdefault((a, b), c) != c:
-                return False
+    # given the unit, a triple with an empty world always rebrackets
+    for h2 in range(1, n):
+        for h3 in range(1, n):
+            t23 = targets[h2 * n + h3]
+            if not t23:
+                continue
+            for h1 in range(1, n):
+                row = h1 * n
+                left = 0
+                for h5 in t23:
+                    left |= comp[row + h5]
+                if left:
+                    right = 0
+                    for h6 in targets[row + h2]:
+                        right |= comp[h6 * n + h3]
+                    if left & ~right:
+                        return False
+    return True
+
+
+def _meets_extras(comp, targets, n: int, cfg: LogicConfig) -> bool:
+    """The conditions cfg adds to a commutative monoid frame."""
+    if cfg.partial_determinism and any(m & (m - 1) for m in comp):
+        return False
     if cfg.cancellativity:
-        seen = {}
-        for (a, b, c) in rel:
-            if seen.setdefault((a, c), b) != b:
-                return False
+        # a + b and a + b' share no target unless b = b'
+        for a in range(n):
+            seen = 0
+            for m in comp[a * n:a * n + n]:
+                if seen & m:
+                    return False
+                seen |= m
     if cfg.indivisible_unit or cfg.disjointness:
-        if any(c == 0 and a != 0 for (a, b, c) in rel):
+        if any(comp[a * n + b] & 1 for a in range(1, n) for b in range(n)):
             return False
     if cfg.disjointness:
-        if any(a == b and a != 0 for (a, b, c) in rel):
+        if any(comp[a * n + a] for a in range(1, n)):
             return False
     if cfg.splittability:
-        for c in range(1, n):
-            if not any(t[2] == c and t[0] != 0 and t[1] != 0 for t in rel):
-                return False
-    if cfg.cross_split:
-        for (a, b, z) in rel:
-            for (u, v, z2) in rel:
-                if z != z2:
-                    continue
-                if not any((p, q, a) in rel and (p, s, u) in rel
-                           and (s, t, b) in rel and (q, t, v) in rel
-                           for p in range(n) for q in range(n)
-                           for s in range(n) for t in range(n)):
+        # every non-empty world is a sum of two non-empty ones
+        split = 0
+        for a in range(1, n):
+            for m in comp[a * n + 1:a * n + n]:
+                split |= m
+        if any(not split >> c & 1 for c in range(1, n)):
+            return False
+    if cfg.cross_split and not _cross_splits(comp, targets, n):
+        return False
+    return True
+
+
+def _cross_splits(comp, targets, n: int) -> bool:
+    """a + b = z = u + v implies p + q = a, p + s = u, s + t = b and
+    q + t = v for some p, q, s, t."""
+    dec = [[] for _ in range(n)]      # dec[c]: the (a,b) with a + b = c
+    for ab, cs in enumerate(targets):
+        for c in cs:
+            dec[c].append(divmod(ab, n))
+    reach = {}    # (a,b) -> per u, the bitmask of the v that (a,b) splits into
+    for z in range(n):
+        for ab in dec[z]:
+            got = reach.get(ab)
+            if got is None:
+                got = [0] * n
+                for (p, q) in dec[ab[0]]:
+                    for (s, t) in dec[ab[1]]:
+                        v = comp[q * n + t]
+                        if v:
+                            for u in targets[p * n + s]:
+                                got[u] |= v
+                reach[ab] = got
+            for (u, v) in dec[z]:
+                if not got[u] >> v & 1:
                     return False
     return True
 
 
-def _identity_base(n: int) -> set:
+def check_conditions(rel: FrozenSet[Triple], n: int, cfg: LogicConfig) -> bool:
+    """Is rel a frame of cfg on the worlds 0..n-1: a commutative monoid
+    with unit 0 that meets cfg's extra conditions?"""
+    table = _table(rel, n)
+    return (table is not None and _is_monoid(*table, n)
+            and _meets_extras(*table, n, cfg))
+
+
+_monoid_cache: Dict[int, list] = {}
+_frames_cache: Dict[Tuple[int, LogicConfig], Tuple[FrozenSet[Triple], ...]] = {}
+
+
+def _monoid_frames(n: int) -> list:
+    """(relation, comp, targets) of every commutative monoid frame on n
+    worlds, in enumeration order; built once per n.  A candidate fixes
+    the sum of each pair 1 <= a <= b < n: a set of worlds, or at n = 4
+    one world or none."""
+    got = _monoid_cache.get(n)
+    if got is not None:
+        return got
     base = set()
     for a in range(n):
         base.add((a, 0, a))
         base.add((0, a, a))
-    return base
+    pairs = [(a, b) for a in range(1, n) for b in range(a, n)]
+    if n == 4:
+        sums = [() if c == n else (c,) for c in range(n + 1)]
+    else:
+        sums = [s for r in range(n + 1) for s in itertools.combinations(range(n), r)]
+    got = []
+    for choice in itertools.product(sums, repeat=len(pairs)):
+        # built as a set in this order: find_countermodel's first model,
+        # and satisfies' calls, follow its iteration order
+        rel = set(base)
+        for (a, b), cs in zip(pairs, choice):
+            for c in cs:
+                rel.add((a, b, c))
+                rel.add((b, a, c))
+        comp, targets = _table(rel, n)
+        if _is_monoid(comp, targets, n):
+            got.append((frozenset(rel), comp, targets))
+    _monoid_cache[n] = got
+    return got
 
 
-@lru_cache(maxsize=None)
 def enumerate_frames(n: int, cfg: LogicConfig) -> Tuple[FrozenSet[Triple], ...]:
     """All composition relations on n worlds meeting cfg's frame conditions."""
     if n < 1:
         raise ValueError("need at least one world")
     if n > 4 or (n == 4 and not cfg.partial_determinism):
         raise ValueError("frame enumeration too large for n=%d" % n)
-    base = _identity_base(n)
-    pairs = [(a, b) for a in range(1, n) for b in range(a, n)]
-    out = []
-    if n == 4:
-        # partial function tables: each pair maps to a target or nothing
-        choices = itertools.product(range(n + 1), repeat=len(pairs))
-        for choice in choices:
-            rel = set(base)
-            for (a, b), c in zip(pairs, choice):
-                if c < n:
-                    rel.add((a, b, c))
-                    rel.add((b, a, c))
-            fr = frozenset(rel)
-            if check_conditions(fr, n, cfg):
-                out.append(fr)
-    else:
-        targets = list(range(n))
-        subsets = [frozenset(s) for r in range(n + 1)
-                   for s in itertools.combinations(targets, r)]
-        for choice in itertools.product(subsets, repeat=len(pairs)):
-            rel = set(base)
-            for (a, b), cs in zip(pairs, choice):
-                for c in cs:
-                    rel.add((a, b, c))
-                    rel.add((b, a, c))
-            fr = frozenset(rel)
-            if check_conditions(fr, n, cfg):
-                out.append(fr)
-    return tuple(out)
+    got = _frames_cache.get((n, cfg))
+    if got is None:
+        got = tuple(rel for rel, comp, targets in _monoid_frames(n)
+                    if _meets_extras(comp, targets, n, cfg))
+        _frames_cache[(n, cfg)] = got
+    return got
+
+
+def _clear_frame_caches() -> None:
+    _monoid_cache.clear()
+    _frames_cache.clear()
+
+
+enumerate_frames.cache_clear = _clear_frame_caches
 
 
 def _valuations(props: Tuple[str, ...], n: int) -> Iterator[Dict[str, FrozenSet[int]]]:
@@ -223,6 +292,8 @@ def format_model(model: FrameModel, world: Optional[int] = None) -> str:
 
 
 def parse_model(text: str) -> Tuple[FrameModel, Optional[int]]:
+    """Read format_model's text; ValueError on a malformed line or on a
+    world outside 0..worlds-1."""
     size = 0
     rel = set()
     val: Dict[str, FrozenSet[int]] = {}
@@ -231,17 +302,26 @@ def parse_model(text: str) -> Tuple[FrameModel, Optional[int]]:
         parts = line.split()
         if not parts:
             continue
-        if parts[0] == "worlds":
-            size = int(parts[1])
-        elif parts[0] == "eps":
-            if int(parts[1]) != 0:
-                raise ValueError("empty world must be 0")
-        elif parts[0] == "rel":
-            rel.add((int(parts[1]), int(parts[2]), int(parts[3])))
-        elif parts[0] == "val":
-            val[parts[1]] = frozenset(int(w) for w in parts[2:])
-        elif parts[0] == "falsified_at":
-            world = int(parts[1])
-        else:
-            raise ValueError("bad model line %r" % line)
+        try:
+            if parts[0] == "worlds":
+                size = int(parts[1])
+            elif parts[0] == "eps":
+                if int(parts[1]) != 0:
+                    raise ValueError("empty world must be 0")
+            elif parts[0] == "rel" and len(parts) == 4:
+                rel.add((int(parts[1]), int(parts[2]), int(parts[3])))
+            elif parts[0] == "val":
+                val[parts[1]] = frozenset(int(w) for w in parts[2:])
+            elif parts[0] == "falsified_at":
+                world = int(parts[1])
+            else:
+                raise ValueError("bad model line %r" % line)
+        except IndexError:
+            raise ValueError("bad model line %r" % line) from None
+    used = [w for t in rel for w in t] + [w for ws in val.values() for w in ws]
+    if world is not None:
+        used.append(world)
+    bad = [w for w in used if not 0 <= w < size]
+    if bad:
+        raise ValueError("world %d is not in a model of %d worlds" % (bad[0], size))
     return FrameModel(size, frozenset(rel), val), world

@@ -160,76 +160,83 @@ class Prover:
 
     def _branch(self, seq: Sequent, memo: Set[tuple], apps: int,
                 rounds: int) -> Derivation:
+        # No sequent outlives its successor: the trail keeps rule instances
+        # and atom counts, seq is dropped before a split, and _split hands
+        # each premise over as its branch starts
         trail: List[Tuple[RuleInstance, int]] = []
-        try:
-            return self._branch_loop(seq, memo, apps, rounds, trail)
-        finally:
-            self.live_atoms -= sum(n for (_, n) in trail)
 
-    def _branch_loop(self, seq, memo, apps, rounds, trail):
         def apply_unary(inst, premises=None):
+            # premises, if given, is the one premise already computed,
+            # popped so that the caller's list does not keep it
             nonlocal seq, apps
             apps = self._tick(apps, seq)
             self._push(trail, seq, inst)
-            (seq,) = premises if premises is not None else expand(seq, inst, self.cfg)
-
-        while True:
-            inst = closures(seq, self.cfg)
-            if inst is not None:
-                return self._fold(trail, Derivation(None, inst, ()))
-
-            got = self._norm_step(seq, memo)
-            if got is None:
-                inst = self._invertible_unary(seq)
-                if inst is not None:
-                    got = (inst, memo)
-            if got is not None:
-                inst, memo = got
-                apply_unary(inst)
-                continue
-
-            inst = self._invertible_branching(seq)
-            if inst is not None:
-                apps = self._tick(apps, seq)
-                premises = expand(seq, inst, self.cfg)
+            if premises is None:
+                (seq,) = expand(seq, inst, self.cfg)
             else:
-                ob = self._obligation(seq, memo, min_score=1)
-                if ob is None:
-                    if rounds < self.round_cap:
-                        seq2, added, apps = self._structural_round(seq, trail, apps)
-                        if added:
-                            seq = seq2
-                            rounds += 1
-                            continue
-                        ob = self._obligation(seq, memo, min_score=0)
-                        if ob is None:
-                            raise _OpenFound(seq)
-                    else:
-                        ob = self._obligation(seq, memo, min_score=0)
-                        if ob is None:
-                            raise _Exhausted("structural rounds")
-                keys, inst = ob
-                memo = memo.union(keys)
-                # its premise count decides whether it extends this branch
-                # or splits it
-                premises = expand(seq, inst, self.cfg)
-                if len(premises) == 1:
-                    apply_unary(inst, premises)
+                seq = premises.pop()
+
+        try:
+            while True:
+                inst = closures(seq, self.cfg)
+                if inst is not None:
+                    return self._fold(trail, Derivation(None, inst, ()))
+
+                got = self._norm_step(seq, memo)
+                if got is None:
+                    inst = self._invertible_unary(seq)
+                    if inst is not None:
+                        got = (inst, memo)
+                if got is not None:
+                    inst, memo = got
+                    apply_unary(inst)
                     continue
-                apps = self._tick(apps, seq)
-            return self._split(inst, premises, trail, memo, apps, rounds)
+
+                inst = self._invertible_branching(seq)
+                if inst is not None:
+                    apps = self._tick(apps, seq)
+                    premises = list(expand(seq, inst, self.cfg))
+                else:
+                    ob = self._obligation(seq, memo, min_score=1)
+                    if ob is None:
+                        if rounds < self.round_cap:
+                            seq, added, apps = self._structural_round(seq, trail, apps)
+                            if added:
+                                rounds += 1
+                                continue
+                            ob = self._obligation(seq, memo, min_score=0)
+                            if ob is None:
+                                raise _OpenFound(seq)
+                        else:
+                            ob = self._obligation(seq, memo, min_score=0)
+                            if ob is None:
+                                raise _Exhausted("structural rounds")
+                    keys, inst = ob
+                    memo = memo.union(keys)
+                    # its premise count decides whether it extends this
+                    # branch or splits it
+                    premises = list(expand(seq, inst, self.cfg))
+                    if len(premises) == 1:
+                        apply_unary(inst, premises)
+                        continue
+                    apps = self._tick(apps, seq)
+                seq = None
+                return self._split(inst, premises, trail, memo, apps, rounds)
+        finally:
+            self.live_atoms -= sum(n for (_, n) in trail)
 
     def _fold(self, trail, deriv: Derivation) -> Derivation:
         for inst, _ in reversed(trail):
             deriv = Derivation(None, inst, (deriv,))
         return deriv
 
-    def _split(self, inst, premises, trail, memo, apps, rounds):
-        # a loop, not a comprehension: a comprehension's frame would make
-        # every branching level one frame deeper
+    def _split(self, inst, premises: List[Sequent], trail, memo, apps, rounds):
+        # premises are popped as their branches start, so that none stays
+        # referenced here; a loop, not a comprehension, whose frame would
+        # make every branching level one frame deeper
         subderivs = []
-        for p in premises:
-            subderivs.append(self._branch(p, memo, apps, rounds))
+        while premises:
+            subderivs.append(self._branch(premises.pop(0), memo, apps, rounds))
         return self._fold(trail, Derivation(None, inst, tuple(subderivs)))
 
     # -- phase 2: substitutional rules and commutativity ----------------------

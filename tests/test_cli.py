@@ -138,6 +138,23 @@ def test_check_model(tmp_path, capsys):
     assert code == 3 and "frame conditions" in err
 
 
+@pytest.mark.parametrize("extra,argv", [
+    ("", ["--world", "2"]),
+    ("", ["--world", "-1"]),
+    ("val b 7\n", []),
+    ("rel 1 2 2\n", []),
+    ("falsified_at 2\n", []),
+    ("rel 1 1\n", []),
+])
+def test_check_model_rejects_worlds_outside_the_model(tmp_path, capsys, extra, argv):
+    model = tmp_path / "m.model"
+    model.write_text("worlds 2\neps 0\nrel 0 0 0\nrel 0 1 1\nrel 1 0 1\n"
+                     "val a 1\n" + extra)
+    code, out, err = run(capsys, "check-model", str(model), "a", *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_shipped_corpora_load():
     import os
     import pasl

@@ -1,5 +1,11 @@
 """Parser, printer and syntax helpers."""
+import os
+import random
+
 import pytest
+
+import pasl
+from pasl.cli import load_corpus
 
 from pasl.formula import (
     BOT, EMP, TOP, ParseError, conj, disj, exists, expr_eq, free_exprs,
@@ -55,6 +61,11 @@ def test_parse_unicode_aliases():
 def test_parse_septraction_sugar():
     assert parse("a -o b") is septraction(parse("a"), parse("b"))
     assert parse("a -o b") is neg(wand(prop("a"), neg(prop("b"))))
+    # -o binds like -*: below \/, above ->, to the right
+    a, b, c = prop("a"), prop("b"), prop("c")
+    assert parse("a \\/ b -o c") is septraction(disj(a, b), c)
+    assert parse("a -o b -> c") is imp(septraction(a, b), c)
+    assert parse("a -* b -o c") is wand(a, septraction(b, c))
 
 
 def test_parse_heap_atoms():
@@ -108,3 +119,60 @@ def test_subst_expr_avoids_capture():
     assert subst_expr(f, "y", "w") is parse("exists x. x |-> w")
     # bound occurrences are left alone
     assert subst_expr(f, "x", "w") is f
+
+
+# input, message, position: each kind of error the parser reports
+PARSE_ERRORS = [
+    ("a # b", "unexpected character '#' (at position 2)", 2),
+    ("A", "unexpected character 'A' (at position 0)", 0),
+    ("a /\\ B", "unexpected character 'B' (at position 5)", 5),
+    ("a_1 -> _b", "unexpected character '_' (at position 7)", 7),
+    ("a -* 2b", "unexpected character '2' (at position 5)", 5),
+    ("(a * b", "expected ')' (at position 6)", 6),
+    ("exists x a", "expected '.' (at position 10)", 10),
+    ("a b", "trailing input (at position 2)", 2),
+    ("(a))", "trailing input (at position 3)", 3),
+    ("", "expected formula (at position 0)", 0),
+    ("a ->", "expected formula (at position 4)", 4),
+    ("exists . a", "expected bound variable (at position 7)", 7),
+    ("x |-> ", "expected expression identifier (at position 6)", 6),
+    ("x = true", "expected expression identifier (at position 4)", 4),
+    # positions count in the text after the Unicode aliases are replaced
+    ("a ∗ ⊥ 1", "unexpected character '1' (at position 10)", 10),
+    ("⊤* → (a", "expected ')' (at position 9)", 9),
+    ("¬ é É", "unexpected character 'É' (at position 4)", 4),
+]
+
+
+@pytest.mark.parametrize("text,message,pos", PARSE_ERRORS)
+def test_parse_error_messages(text, message, pos):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+    assert err.value.pos == pos
+
+
+def _random_formula(rng, depth):
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice([prop("a"), prop("b"), prop("c_1"), TOP, BOT, EMP,
+                           points_to("x", "y"), expr_eq("x", "z")])
+    k = rng.randrange(10)
+    if k == 0:
+        return neg(_random_formula(rng, depth - 1))
+    if k == 1:
+        return exists("x", _random_formula(rng, depth - 1))
+    build = (conj, disj, imp, star, wand, septraction, conj, disj)[k - 2]
+    return build(_random_formula(rng, depth - 1), _random_formula(rng, depth - 1))
+
+
+def test_parse_inverts_show():
+    d = os.path.join(os.path.dirname(pasl.__file__), "data")
+    rows = [e.formula for name in ("table1.corpus", "table2.corpus")
+            for e in load_corpus(os.path.join(d, name))]
+    for text in rows:
+        f = parse(text)
+        assert parse(show(f)) is f
+    rng = random.Random(3)
+    for _ in range(2000):
+        f = _random_formula(rng, 6)
+        assert parse(show(f)) is f

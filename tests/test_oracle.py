@@ -1,4 +1,7 @@
 """Finite-model semantics, used as an independent check on the prover."""
+import itertools
+import random
+
 import pytest
 
 from pasl.config import preset
@@ -122,3 +125,142 @@ def test_model_text_round_trip():
     assert m2.size == m.size and m2.rel == m.rel and m2.valuation == m.valuation
     with pytest.raises(ValueError):
         parse_model("nonsense 1 2\n")
+
+
+# -- brute-force specification of the frame conditions ---------------------
+#
+# The direct reading of each condition, as quantifiers over the triples of
+# rel; check_conditions and enumerate_frames must agree with it exactly.
+
+def spec_check_conditions(rel, n, cfg):
+    for a in range(n):
+        if (a, 0, a) not in rel:
+            return False
+    for (a, b, c) in rel:
+        if b == 0 and a != c:
+            return False
+        if (b, a, c) not in rel:
+            return False
+    by_out = {}
+    for t in rel:
+        by_out.setdefault(t[2], []).append(t)
+    for (h1, h5, h4) in rel:
+        for (h2, h3, _) in by_out.get(h5, ()):
+            if not any((h1, h2, h6) in rel and (h6, h3, h4) in rel
+                       for h6 in range(n)):
+                return False
+    if cfg.partial_determinism:
+        seen = {}
+        for (a, b, c) in rel:
+            if seen.setdefault((a, b), c) != c:
+                return False
+    if cfg.cancellativity:
+        seen = {}
+        for (a, b, c) in rel:
+            if seen.setdefault((a, c), b) != b:
+                return False
+    if cfg.indivisible_unit or cfg.disjointness:
+        if any(c == 0 and a != 0 for (a, b, c) in rel):
+            return False
+    if cfg.disjointness:
+        if any(a == b and a != 0 for (a, b, c) in rel):
+            return False
+    if cfg.splittability:
+        for c in range(1, n):
+            if not any(t[2] == c and t[0] != 0 and t[1] != 0 for t in rel):
+                return False
+    if cfg.cross_split:
+        for (a, b, z) in rel:
+            for (u, v, z2) in rel:
+                if z != z2:
+                    continue
+                if not any((p, q, a) in rel and (p, s, u) in rel
+                           and (s, t, b) in rel and (q, t, v) in rel
+                           for p in range(n) for q in range(n)
+                           for s in range(n) for t in range(n)):
+                    return False
+    return True
+
+
+def spec_enumerate_frames(n, cfg):
+    base = set()
+    for a in range(n):
+        base.add((a, 0, a))
+        base.add((0, a, a))
+    pairs = [(a, b) for a in range(1, n) for b in range(a, n)]
+    if n == 4:
+        sums = [() if c == n else (c,) for c in range(n + 1)]
+    else:
+        sums = [frozenset(s) for r in range(n + 1)
+                for s in itertools.combinations(range(n), r)]
+    out = []
+    for choice in itertools.product(sums, repeat=len(pairs)):
+        rel = set(base)
+        for (a, b), cs in zip(pairs, choice):
+            for c in cs:
+                rel.add((a, b, c))
+                rel.add((b, a, c))
+        fr = frozenset(rel)
+        if spec_check_conditions(fr, n, cfg):
+            out.append(fr)
+    return tuple(out)
+
+
+# every preset, and each frame condition alone on bbi and on pasl
+LOGICS = sorted({"bbi", "pasl", "separata+"}
+                | {"%s+%s" % (base, flag) for base in ("bbi", "pasl")
+                   for flag in ("p", "c", "iu", "d", "s", "cs")})
+
+
+@pytest.mark.parametrize("name", LOGICS)
+def test_enumerate_frames_matches_the_specification(name):
+    cfg = preset(name)
+    enumerate_frames.cache_clear()
+    sizes = (1, 2, 3, 4) if name in ("pasl", "pasl+d", "bbi+p", "separata+") else (1, 2, 3)
+    for n in sizes:
+        got, want = enumerate_frames(n, cfg), spec_enumerate_frames(n, cfg)
+        # identical frames in the identical order, each iterating in the
+        # identical order: find_countermodel returns the first model found
+        assert got == want
+        assert [list(fr) for fr in got] == [list(fr) for fr in want]
+
+
+def _random_relation(rng, n):
+    rel = set()
+    if rng.random() < 0.8:
+        rel.update((a, 0, a) for a in range(n))
+        rel.update((0, a, a) for a in range(n))
+        if rng.random() < 0.3:          # drop an identity atom
+            rel.discard(rng.choice(sorted(rel)))
+    density = rng.choice((0.05, 0.15, 0.3, 0.6))
+    for a in range(1, n):
+        for b in range(a, n):
+            for c in range(n):
+                if rng.random() < density:
+                    rel.add((a, b, c))
+                    if a != b and rng.random() < 0.9:   # mostly commutative
+                        rel.add((b, a, c))
+    if rng.random() < 0.05:
+        rel.add(rng.choice(((n, 0, n), (0, 1, n + 2), (-1, 1, 1))))
+    return frozenset(rel)
+
+
+def test_check_conditions_matches_the_specification():
+    rng = random.Random(11)
+    cfgs = [preset(name) for name in LOGICS]
+    positive = 0
+    for _ in range(3000):
+        n = rng.randint(1, 4)
+        rel = _random_relation(rng, n)
+        in_range = all(0 <= w < n for t in rel for w in t)
+        for cfg in rng.sample(cfgs, 3):
+            want = in_range and spec_check_conditions(rel, n, cfg)
+            assert check_conditions(rel, n, cfg) == want, (sorted(rel), n, cfg.name())
+            positive += want
+    assert positive > 100     # the sample reaches frames that pass
+
+
+def test_check_conditions_rejects_worlds_outside_the_frame():
+    assert check_conditions(Z2, 2, BBI)
+    assert not check_conditions(Z2 | {(2, 0, 2), (0, 2, 2)}, 2, BBI)
+    assert not check_conditions(Z2 | {(1, 1, -1)}, 2, BBI)
