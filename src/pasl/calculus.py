@@ -13,9 +13,9 @@ from enum import Enum
 from typing import List, Optional, Tuple
 
 from .config import LogicConfig
-from .formula import BOT, EMP, TOP, Formula, free_exprs, subst_expr
+from .formula import BOT, EMP, TOP, Formula, subst_expr
 from .sequent import (EPS, Ineq, Label, LabelledFormula, RelAtom, Sequent,
-                      label_name)
+                      label_name, occurring_exprs)
 from .unify import AppliedRule, entails_eq, eq_find
 
 
@@ -254,10 +254,7 @@ def expand(seq: Sequent, inst: RuleInstance, cfg: LogicConfig) -> Tuple[Sequent,
         ((w, f),) = inst.principal_gamma
         _need(f.kind == "exists", "existsL needs a quantifier")
         (v,) = inst.exprs
-        occurring = set()
-        for (_, g) in seq.gamma + seq.delta:
-            occurring |= free_exprs(g)
-        if v in occurring:
+        if v in occurring_exprs(seq):
             raise RuleError("witness %s not fresh" % v)
         body = subst_expr(f.args[1], f.args[0], v)
         return (seq.extend(gamma=[(w, body)], drop_gamma=[(w, f)]),)

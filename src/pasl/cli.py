@@ -8,7 +8,7 @@ import time
 from dataclasses import dataclass
 from typing import List
 
-from .calculus import Derivation, check, expand
+from .calculus import Derivation, expand
 from .config import ConfigError, LogicConfig, preset
 from .formula import ParseError, has_heap, parse, show
 from .oracle import check_conditions, find_countermodel, format_model, parse_model, satisfies
@@ -57,9 +57,12 @@ def _limits(args) -> SearchLimits:
 
 
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
+    defaults = SearchLimits()
     p.add_argument("--logic", default="bbi", help="logic preset, e.g. bbi, pasl+d, separata+")
-    p.add_argument("--max-rounds", type=int, default=12, metavar="N")
-    p.add_argument("--max-apps", type=int, default=200000, metavar="N")
+    p.add_argument("--max-rounds", type=int, default=defaults.max_structural_rounds,
+                   metavar="N")
+    p.add_argument("--max-apps", type=int, default=defaults.max_rule_apps, metavar="N",
+                   help="rule applications allowed in the whole search (default %(default)s)")
     p.add_argument("--timeout-ms", type=int, default=None, metavar="N")
 
 
@@ -100,7 +103,6 @@ def cmd_prove(args) -> int:
     if isinstance(verdict, Valid):
         print("Valid")
         if args.proof:
-            check(verdict.proof, cfg)
             print("\n".join(_render(verdict.proof, args.proof, cfg)))
         return EXIT_VALID
     if isinstance(verdict, NotProved):

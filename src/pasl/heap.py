@@ -12,8 +12,7 @@ from typing import Dict, Optional, Tuple
 
 from .calculus import Rule, RuleInstance
 from .config import LogicConfig
-from .formula import free_exprs
-from .sequent import Label, LabelledFormula, Sequent
+from .sequent import Label, LabelledFormula, Sequent, occurring_exprs
 
 
 def find_heap_redex(seq: Sequent, cfg: LogicConfig) -> Optional[RuleInstance]:
@@ -37,13 +36,6 @@ def find_heap_redex(seq: Sequent, cfg: LogicConfig) -> Optional[RuleInstance]:
             return RuleInstance(Rule.MAPSTO_L3, principal_gamma=(prev, lf))
         by_addr[addr] = lf
     return None
-
-
-def occurring_exprs(seq: Sequent) -> frozenset:
-    out = set()
-    for (_, f) in seq.gamma + seq.delta:
-        out |= free_exprs(f)
-    return frozenset(out)
 
 
 def fresh_expr_name(seq: Sequent) -> str:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from .calculus import (Derivation, Rule, RuleInstance, check, closures,
                        expand, from_applied)
@@ -33,17 +33,14 @@ from .config import ConfigError, LogicConfig
 from .formula import EMP, Formula, has_heap, subformulae, subst_expr
 from .heap import find_heap_redex, fresh_expr_name, witnesses
 from .sequent import EPS, Sequent, initial_sequent
-from .unify import eq_find, find_redex
+from .unify import find_redex
 
 
 @dataclass(frozen=True)
 class SearchLimits:
     max_structural_rounds: int = 12
-    max_rule_apps: int = 200000        # along any single branch
+    max_rule_apps: int = 200000        # over the whole search, every round cap
     max_rel_atoms: int = 5000          # per-sequent composition atom budget
-    # relational atoms summed over the rule applications on the current
-    # branch stack: each adds len(rel) of the sequent it was applied to
-    max_live_atoms: int = 10000000
     wall_clock_ms: Optional[int] = None
 
 
@@ -103,7 +100,7 @@ class Prover:
         self.cfg = cfg
         self.limits = limits
         self.deadline = None
-        self.live_atoms = 0
+        self.apps = 0
 
     # -- public entry points --------------------------------------------------
 
@@ -122,11 +119,11 @@ class Prover:
         top = self.limits.max_structural_rounds
         caps = [c for c in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64) if c < top]
         caps.append(top)
+        self.apps = 0
         for cap in caps:
             self.round_cap = cap
-            self.live_atoms = 0
             try:
-                deriv = self._branch(seq, set(), 0, 0)
+                deriv = self._branch(seq, set(), 0)
             except _OpenFound as e:
                 return NotProved(e.seq)
             except _Exhausted as e:
@@ -139,104 +136,90 @@ class Prover:
 
     # -- main loop ------------------------------------------------------------
 
-    def _tick(self, apps: int, seq: Optional[Sequent] = None) -> int:
-        apps += 1
-        if apps > self.limits.max_rule_apps:
+    def _tick(self, seq: Sequent) -> None:
+        self.apps += 1
+        if self.apps > self.limits.max_rule_apps:
             raise _Exhausted("rule applications")
-        if seq is not None and len(seq.rel) > self.limits.max_rel_atoms:
+        if len(seq.rel) > self.limits.max_rel_atoms:
             raise _Exhausted("relational atoms")
-        if self.live_atoms > self.limits.max_live_atoms:
-            raise _Exhausted("memory")
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _Exhausted("wall clock")
-        return apps
 
-    def _push(self, trail, seq: Sequent, inst: RuleInstance) -> None:
-        # keep the instance for _fold and the atom count for _branch, not
-        # the sequent: it is dead once its successor has been computed
-        n = len(seq.rel)
-        trail.append((inst, n))
-        self.live_atoms += n
-
-    def _branch(self, seq: Sequent, memo: Set[tuple], apps: int,
-                rounds: int) -> Derivation:
-        # No sequent outlives its successor: the trail keeps rule instances
-        # and atom counts, seq is dropped before a split, and _split hands
-        # each premise over as its branch starts
-        trail: List[Tuple[RuleInstance, int]] = []
+    def _branch(self, seq: Sequent, memo: Set[tuple], rounds: int) -> Derivation:
+        # No sequent outlives its successor: the trail keeps rule instances,
+        # seq is dropped before a split, and _split hands each premise over
+        # as its branch starts
+        trail: List[RuleInstance] = []
 
         def apply_unary(inst, premises=None):
             # premises, if given, is the one premise already computed,
             # popped so that the caller's list does not keep it
-            nonlocal seq, apps
-            apps = self._tick(apps, seq)
-            self._push(trail, seq, inst)
+            nonlocal seq
+            self._tick(seq)
+            trail.append(inst)
             if premises is None:
                 (seq,) = expand(seq, inst, self.cfg)
             else:
                 seq = premises.pop()
 
-        try:
-            while True:
-                inst = closures(seq, self.cfg)
-                if inst is not None:
-                    return self._fold(trail, Derivation(None, inst, ()))
+        while True:
+            inst = closures(seq, self.cfg)
+            if inst is not None:
+                return self._fold(trail, Derivation(None, inst, ()))
 
-                got = self._norm_step(seq, memo)
-                if got is None:
-                    inst = self._invertible_unary(seq)
-                    if inst is not None:
-                        got = (inst, memo)
-                if got is not None:
-                    inst, memo = got
-                    apply_unary(inst)
+            got = self._norm_step(seq, memo)
+            if got is None:
+                inst = self._invertible_unary(seq)
+                if inst is not None:
+                    got = (inst, memo)
+            if got is not None:
+                inst, memo = got
+                apply_unary(inst)
+                continue
+
+            inst = self._invertible_branching(seq)
+            if inst is not None:
+                self._tick(seq)
+                premises = list(expand(seq, inst, self.cfg))
+            else:
+                ob = self._obligation(seq, memo, min_score=1)
+                if ob is None:
+                    if rounds < self.round_cap:
+                        seq, added = self._structural_round(seq, trail)
+                        if added:
+                            rounds += 1
+                            continue
+                        ob = self._obligation(seq, memo, min_score=0)
+                        if ob is None:
+                            raise _OpenFound(seq)
+                    else:
+                        ob = self._obligation(seq, memo, min_score=0)
+                        if ob is None:
+                            raise _Exhausted("structural rounds")
+                keys, inst = ob
+                memo = memo.union(keys)
+                # its premise count decides whether it extends this
+                # branch or splits it
+                premises = list(expand(seq, inst, self.cfg))
+                if len(premises) == 1:
+                    apply_unary(inst, premises)
                     continue
-
-                inst = self._invertible_branching(seq)
-                if inst is not None:
-                    apps = self._tick(apps, seq)
-                    premises = list(expand(seq, inst, self.cfg))
-                else:
-                    ob = self._obligation(seq, memo, min_score=1)
-                    if ob is None:
-                        if rounds < self.round_cap:
-                            seq, added, apps = self._structural_round(seq, trail, apps)
-                            if added:
-                                rounds += 1
-                                continue
-                            ob = self._obligation(seq, memo, min_score=0)
-                            if ob is None:
-                                raise _OpenFound(seq)
-                        else:
-                            ob = self._obligation(seq, memo, min_score=0)
-                            if ob is None:
-                                raise _Exhausted("structural rounds")
-                    keys, inst = ob
-                    memo = memo.union(keys)
-                    # its premise count decides whether it extends this
-                    # branch or splits it
-                    premises = list(expand(seq, inst, self.cfg))
-                    if len(premises) == 1:
-                        apply_unary(inst, premises)
-                        continue
-                    apps = self._tick(apps, seq)
-                seq = None
-                return self._split(inst, premises, trail, memo, apps, rounds)
-        finally:
-            self.live_atoms -= sum(n for (_, n) in trail)
+                self._tick(seq)
+            seq = None
+            return self._split(inst, premises, trail, memo, rounds)
 
     def _fold(self, trail, deriv: Derivation) -> Derivation:
-        for inst, _ in reversed(trail):
+        for inst in reversed(trail):
             deriv = Derivation(None, inst, (deriv,))
         return deriv
 
-    def _split(self, inst, premises: List[Sequent], trail, memo, apps, rounds):
+    def _split(self, inst, premises: List[Sequent], trail, memo, rounds):
         # premises are popped as their branches start, so that none stays
         # referenced here; a loop, not a comprehension, whose frame would
         # make every branching level one frame deeper
         subderivs = []
         while premises:
-            subderivs.append(self._branch(premises.pop(0), memo, apps, rounds))
+            subderivs.append(self._branch(premises.pop(0), memo, rounds))
         return self._fold(trail, Derivation(None, inst, tuple(subderivs)))
 
     # -- phase 2: substitutional rules and commutativity ----------------------
@@ -311,14 +294,12 @@ class Prover:
 
     # -- phases 4 and 6: memoized obligations ---------------------------------
 
-    def _pick_atom(self, seq, memo, tag, lf, fits, score, min_score):
-        """Choose an untried atom for lf with enough subformula affinity."""
-        atoms = list(seq.rel)
-        atoms.reverse()    # recently created splittings first
+    def _pick_atom(self, memo, tag, lf, atoms, score, min_score):
+        """Choose an untried atom of atoms for lf with enough subformula affinity."""
         best = None
         best_score = min_score - 1
-        for a in atoms:
-            if not fits(a) or (tag, lf, a) in memo:
+        for a in reversed(atoms):    # recently created splittings first
+            if (tag, lf, a) in memo:
                 continue
             s = score(a)
             if s > best_score:
@@ -328,13 +309,14 @@ class Prover:
         return best
 
     def _obligation(self, seq: Sequent, memo: Set[tuple], min_score: int):
-        find = eq_find(seq)
+        # Obligations are sought only once _norm_step finds no redex, so every
+        # (e,x |> y) atom has x == y: no identity atom equates two distinct
+        # labels, and atoms are matched against labels by plain comparison.
         for lf in seq.delta:
             w, f = lf
             if f.kind == "star":
                 a = self._pick_atom(
-                    seq, memo, "*R", lf,
-                    lambda a: find(a[2]) == find(w),
+                    memo, "*R", lf, [a for a in seq.rel if a[2] == w],
                     lambda a: ((a[0], f.args[0]) in seq.gamma_set)
                     + ((a[1], f.args[1]) in seq.gamma_set),
                     min_score)
@@ -352,8 +334,7 @@ class Prover:
             w, f = lf
             if f.kind == "wand":
                 a = self._pick_atom(
-                    seq, memo, "-*L", lf,
-                    lambda a: find(a[1]) == find(w),
+                    memo, "-*L", lf, [a for a in seq.rel if a[1] == w],
                     lambda a: ((a[0], f.args[0]) in seq.gamma_set)
                     + ((a[2], f.args[1]) in seq.delta_set),
                     min_score)
@@ -364,7 +345,7 @@ class Prover:
             elif (f.kind == "mapsto" and self.cfg.heap_extension
                   and min_score > 0):
                 for a in seq.rel:
-                    if a[0] == EPS or a[1] == EPS or find(a[2]) != find(w):
+                    if a[0] == EPS or a[1] == EPS or a[2] != w:
                         continue
                     key = ("L2", lf, a)
                     if key not in memo:
@@ -377,7 +358,7 @@ class Prover:
                 if ob is not None:
                     return ob
             if self.cfg.cross_split:
-                ob = self._cross_split_obligation(seq, memo, find)
+                ob = self._cross_split_obligation(seq, memo)
                 if ob is not None:
                     return ob
         return None
@@ -413,7 +394,7 @@ class Prover:
                 return (key,), RuleInstance(Rule.EM, labels=(w,))
         return None
 
-    def _cross_split_obligation(self, seq, memo, find):
+    def _cross_split_obligation(self, seq, memo):
         rel = list(seq.rel)
         for i, a1 in enumerate(rel):
             if a1[0] == EPS or a1[1] == EPS:
@@ -426,7 +407,7 @@ class Prover:
             for a2 in rel[i + 1:]:
                 if a2[0] == EPS or a2[1] == EPS:
                     continue
-                if find(a1[2]) != find(a2[2]):
+                if a1[2] != a2[2]:
                     continue
                 key = ("CS", a1, a2)
                 if key not in memo:
@@ -437,13 +418,13 @@ class Prover:
 
     # -- phase 5: structural rounds -------------------------------------------
 
-    def _structural_round(self, seq: Sequent, trail, apps: int):
+    def _structural_round(self, seq: Sequent, trail):
         added = 0
 
         def apply(inst):
-            nonlocal seq, added, apps
-            apps = self._tick(apps, seq)
-            self._push(trail, seq, inst)
+            nonlocal seq, added
+            self._tick(seq)
+            trail.append(inst)
             (seq,) = expand(seq, inst, self.cfg)
             added += 1
 
@@ -473,7 +454,7 @@ class Prover:
             if (a[1], a[0], a[2]) not in seq.rel_set:
                 apply(RuleInstance(Rule.E, principal_rels=(a,)))
 
-        return seq, added, apps
+        return seq, added
 
     def _assoc_redundant(self, seq: Sequent, u, v, y, z) -> bool:
         # does some w already witness (u,w |> z) and (y,v |> w)?

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import FrozenSet, Tuple
 
-from .formula import Formula, show, subst_expr
+from .formula import Formula, free_exprs, show, subst_expr
 
 Label = int
 EPS: Label = 0
@@ -72,23 +72,17 @@ class Sequent:
         return max(self.labels) + 1
 
     def extend(self, rel=(), ineq=(), gamma=(), delta=(),
-               drop_gamma=(), drop_delta=(), drop_rel=(), drop_ineq=()) -> "Sequent":
+               drop_gamma=(), drop_delta=()) -> "Sequent":
         """New formulae go to the front of the queues, new atoms to the back."""
         g = self.gamma
         d = self.delta
-        r = self.rel
-        q = self.ineq
         if drop_gamma:
             g = tuple(lf for lf in g if lf not in drop_gamma)
         if drop_delta:
             d = tuple(lf for lf in d if lf not in drop_delta)
-        if drop_rel:
-            r = tuple(a for a in r if a not in drop_rel)
-        if drop_ineq:
-            q = tuple(a for a in q if a not in drop_ineq)
         return Sequent(
-            rel=_dedup(r + tuple(rel)),
-            ineq=_dedup(q + tuple(ineq)),
+            rel=_dedup(self.rel + tuple(rel)),
+            ineq=_dedup(self.ineq + tuple(ineq)),
             gamma=_dedup(tuple(gamma) + g),
             delta=_dedup(tuple(delta) + d),
         )
@@ -140,6 +134,14 @@ def format_sequent(s: Sequent) -> str:
     if left:
         return "%s ; %s |- %s" % (left, gs, ds)
     return "%s |- %s" % (gs, ds)
+
+
+def occurring_exprs(seq: Sequent) -> frozenset:
+    """The expression names free in seq's formulae."""
+    out = set()
+    for (_, f) in seq.gamma + seq.delta:
+        out |= free_exprs(f)
+    return frozenset(out)
 
 
 def initial_sequent(goal: Formula) -> Sequent:

@@ -1,10 +1,11 @@
 """Heap redexes and expression bookkeeping."""
-from pasl.calculus import Rule, expand
+from pasl.calculus import Rule, expand, from_applied
 from pasl.config import preset
 from pasl.formula import parse
 from pasl.heap import find_heap_redex, fresh_expr_name, occurring_exprs, witnesses
 from pasl.search import Prover
 from pasl.sequent import EPS, Sequent
+from pasl.unify import find_redex
 
 SEP = preset("separata+")
 PASL = preset("pasl")
@@ -58,12 +59,16 @@ def test_occurring_and_fresh_exprs():
 
 def test_mapsto_split_candidates():
     # the atoms the search splits a cell's world over with |->L2: those
-    # whose target the identity atoms equate with the cell's label and
-    # whose two parts are not e
-    cell = (5, parse("x |-> y"))
+    # whose target is the cell's label and whose two parts are not e.
+    # Obligations are sought on normalized sequents, so the identity atoms
+    # are eliminated first: 6 becomes 5, then 5 becomes 3
     s = Sequent(rel=((2, 3, 5), (1, 2, 4), (EPS, 6, 5), (4, 1, 6), (EPS, 3, 5),
                      (3, EPS, 5)),
-                gamma=(cell,))
+                gamma=((5, parse("x |-> y")),))
+    while (r := find_redex(s, SEP)) is not None:
+        (s,) = expand(s, from_applied(r), SEP)
+    cell = (3, parse("x |-> y"))
+    assert s.gamma == (cell,)
     prover, memo, picked = Prover(SEP), set(), []
     while True:
         ob = prover._obligation(s, memo, min_score=1)
@@ -73,7 +78,7 @@ def test_mapsto_split_candidates():
         assert inst.rule is Rule.MAPSTO_L2 and inst.principal_gamma == (cell,)
         picked.extend(inst.principal_rels)
         memo |= set(keys)
-    assert picked == [(2, 3, 5), (4, 1, 6)]
+    assert picked == [(2, 3, 3), (4, 1, 3)]
 
 
 def test_mapsto_l2_collapses_one_side():

@@ -3,11 +3,13 @@ import tracemalloc
 
 import pytest
 
+from pasl import search
 from pasl.calculus import check
 from pasl.config import ConfigError, preset
 from pasl.formula import parse
 from pasl.oracle import assignments, find_countermodel, sequent_falsifiable
 from pasl.search import NotProved, Prover, ResourceExhausted, SearchLimits, Valid, prove
+from pasl.unify import eq_find
 
 BBI = preset("bbi")
 PASL = preset("pasl")
@@ -119,11 +121,10 @@ def test_search_is_reproducible():
 NEGATIVE_CONTROL = "(emp /\\ (a * b)) -> a"
 
 
-def test_memory_limit_bounds_what_the_search_retains():
-    # the branch trail keeps rule instances and atom counts, not the
-    # sequents they were applied to, so reaching the live-atom limit
-    # costs far less memory than the atoms it counts
-    p = Prover(PASL, SearchLimits(max_live_atoms=100_000))
+def test_rule_budget_bounds_what_the_search_retains():
+    # the branch trail keeps rule instances, not the sequents they were
+    # applied to, so a search stopped by its budget has retained little
+    p = Prover(PASL, SearchLimits(max_rule_apps=800))
     goal = parse(NEGATIVE_CONTROL)
     tracemalloc.start()
     try:
@@ -131,17 +132,60 @@ def test_memory_limit_bounds_what_the_search_retains():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert v == ResourceExhausted("memory")
+    assert v == ResourceExhausted("rule applications")
     assert peak < 2_000_000
 
 
-def test_live_atoms_balance_after_every_verdict():
-    cases = [
-        ("(a * b) -> (b * a)", SearchLimits(), Valid),
-        ("(a * b) -> a", SearchLimits(), NotProved),
-        (NEGATIVE_CONTROL, SearchLimits(max_live_atoms=10_000), ResourceExhausted),
-    ]
-    for s, limits, kind in cases:
-        p = Prover(PASL, limits)
-        assert isinstance(p.prove(parse(s)), kind), s
-        assert p.live_atoms == 0, s
+@pytest.mark.parametrize("budget", [100, 300, 1000])
+def test_rule_budget_covers_the_whole_search(monkeypatch, budget):
+    # a branching search that needs more than the budget: every premise's
+    # branch and every structural-round cap draw on one count
+    expands = 0
+    orig = search.expand
+
+    def counted(*args):
+        nonlocal expands
+        expands += 1
+        return orig(*args)
+
+    monkeypatch.setattr(search, "expand", counted)
+    f = parse("~(true -* ~emp) * ~(true -* ~emp) -> ~(true -* ~emp)")
+    v = prove(f, preset("bbi+p"), SearchLimits(max_rule_apps=budget))
+    assert v == ResourceExhausted("rule applications")
+    assert expands <= budget
+
+
+def test_rule_budget_stops_a_search_that_no_branch_limit_stops():
+    # every branch stays under the budget, so a per-branch count let this
+    # search run until the wall clock; the whole search needs far more
+    f = parse("(((false -> b) * ~a) * (a \\/ (b -* true))) -> "
+              "(((a -* false) * (true -* emp)) -> ((a \\/ b) -> (false * b)))")
+    limits = SearchLimits(max_rule_apps=20000, max_rel_atoms=800, wall_clock_ms=60000)
+    assert prove(f, PASL, limits) == ResourceExhausted("rule applications")
+
+
+def test_obligations_see_only_normalized_labels(monkeypatch):
+    # _obligation compares labels directly: it must only run once no
+    # (e,x |> y) atom with x != y is left, so every label is its own class
+    fired = set()
+    orig = Prover._obligation
+
+    def checked(self, seq, memo, min_score):
+        find = eq_find(seq)
+        assert all(find(w) == w for w in seq.labels), seq
+        ob = orig(self, seq, memo, min_score)
+        if ob is not None:
+            fired.add(ob[1].rule.value)
+        return ob
+
+    monkeypatch.setattr(Prover, "_obligation", checked)
+    limits = SearchLimits(max_rule_apps=5000, max_rel_atoms=400)
+    for s, logic in [
+        ("((a -* b) * a) -> b", "pasl"),
+        ("(emp * a) -> (a * emp)", "pasl"),     # empL adds (e,x |> e)
+        ("((a * b) /\\ (c * d)) -> ((a * c) * (b * d))", "bbi+cs"),
+        ("~((e1 |-> e2) -* ~(e3 |-> e4)) -> ((e1 = e3) /\\ ((e2 = e4) /\\ emp))",
+         "separata+"),
+    ]:
+        prove(parse(s), preset(logic), limits)
+    assert {"*R", "-*L", "|->L2", "CS"} <= fired

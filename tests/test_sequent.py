@@ -32,9 +32,9 @@ def test_extend_prepends_formulae_appends_atoms():
 def test_extend_drops():
     a = parse("a")
     s = Sequent(rel=((1, 2, 3),), gamma=((1, a),), delta=((2, a),))
-    s2 = s.extend(drop_gamma=((1, a),), drop_rel=((1, 2, 3),))
+    s2 = s.extend(drop_gamma=((1, a),))
     assert s2.gamma == ()
-    assert s2.rel == ()
+    assert s2.rel == ((1, 2, 3),)
     assert s2.delta == ((2, a),)
 
 
