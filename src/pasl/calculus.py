@@ -8,9 +8,9 @@ derivations, so the two can never disagree.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .config import LogicConfig
 from .formula import BOT, EMP, TOP, Formula, subst_expr
@@ -107,23 +107,16 @@ class RuleInstance:
 
 @dataclass(frozen=True)
 class Derivation:
-    # The conclusion may be omitted on inner nodes: premises are computed
-    # from the parent during checking anyway, and storing every
-    # intermediate sequent would make large proofs enormous.  The root
-    # must carry one.
-    conclusion: Optional[Sequent]
-    instance: Optional[RuleInstance] = None
-    premises: Tuple["Derivation", ...] = ()
+    """A proof: its conclusion and every rule instance of it in depth-first
+    order, first premise first.  An instance fixes its premises, which
+    expand recomputes from the sequent it applies to, so no sequent above
+    the conclusion is stored: the next step applies to the first premise
+    still open, and the proof is closed when every premise is."""
+    conclusion: Sequent
+    steps: Tuple[RuleInstance, ...]
 
     def rule_count(self) -> int:
-        n = 0
-        stack = [self]
-        while stack:
-            d = stack.pop()
-            if d.instance is not None:
-                n += 1
-            stack.extend(d.premises)
-        return n
+        return len(self.steps)
 
 
 class RuleError(ValueError):
@@ -397,26 +390,13 @@ def expand(seq: Sequent, inst: RuleInstance, cfg: LogicConfig) -> Tuple[Sequent,
 
 
 def check(deriv: Derivation, cfg: LogicConfig) -> bool:
-    """Validate a closed derivation bottom-up.  Raises RuleError on any defect."""
-    _need(deriv.conclusion is not None, "derivation has no conclusion")
-    stack: List[Tuple[Sequent, Derivation]] = [(deriv.conclusion, deriv)]
-    while stack:
-        concl, d = stack.pop()
-        _need(d.instance is not None, "open leaf in derivation")
-        premises = expand(concl, d.instance, cfg)
-        if len(premises) != len(d.premises):
-            raise RuleError("rule %s expects %d premises, got %d"
-                            % (d.instance.rule.value, len(premises), len(d.premises)))
-        for want, got in zip(premises, d.premises):
-            if got.conclusion is not None:
-                if not (want.rel_set == got.conclusion.rel_set
-                        and want.ineq_set == got.conclusion.ineq_set
-                        and want.gamma_set == got.conclusion.gamma_set
-                        and want.delta_set == got.conclusion.delta_set):
-                    raise RuleError("premise mismatch under rule %s"
-                                    % d.instance.rule.value)
-                want = got.conclusion
-            stack.append((want, got))
+    """Re-run a proof's steps from its conclusion.  Raises RuleError on any defect."""
+    pending = [deriv.conclusion]
+    for inst in deriv.steps:
+        if not pending:
+            raise RuleError("rule %s applied after every branch closed" % inst.rule.value)
+        pending.extend(reversed(expand(pending.pop(), inst, cfg)))
+    _need(not pending, "open leaf in derivation")
     return True
 
 

@@ -66,19 +66,15 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--timeout-ms", type=int, default=None, metavar="N")
 
 
-def _render(deriv: Derivation, style: str, cfg: LogicConfig,
-            concl=None, indent: int = 0) -> List[str]:
-    # inner nodes carry no conclusion of their own; recompute top-down
-    if concl is None:
-        concl = deriv.conclusion
-    rule = deriv.instance.rule.value if deriv.instance else "open"
-    pad = "  " * indent if style == "tree" else ""
-    lines = ["%s[%s] %s" % (pad, rule, format_sequent(concl))]
-    if deriv.instance is not None:
-        premises = expand(concl, deriv.instance, cfg)
-        child_indent = indent + 1 if style == "tree" else 0
-        for pseq, p in zip(premises, deriv.premises):
-            lines.extend(_render(p, style, cfg, pseq, child_indent))
+def _render(deriv: Derivation, style: str, cfg: LogicConfig) -> List[str]:
+    # the steps fix every premise; recompute them top-down, as check does
+    lines = []
+    pending = [(deriv.conclusion, 0)]
+    for inst in deriv.steps:
+        seq, depth = pending.pop()
+        pad = "  " * depth if style == "tree" else ""
+        lines.append("%s[%s] %s" % (pad, inst.rule.value, format_sequent(seq)))
+        pending.extend((p, depth + 1) for p in reversed(expand(seq, inst, cfg)))
     return lines
 
 
@@ -101,9 +97,12 @@ def cmd_prove(args) -> int:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_ERROR
     if isinstance(verdict, Valid):
-        print("Valid")
+        # render before printing: a proof that cannot be printed must not
+        # leave a verdict on stdout next to an error exit
+        lines = ["Valid"]
         if args.proof:
-            print("\n".join(_render(verdict.proof, args.proof, cfg)))
+            lines += _render(verdict.proof, args.proof, cfg)
+        print("\n".join(lines))
         return EXIT_VALID
     if isinstance(verdict, NotProved):
         print("NotProved")
@@ -196,8 +195,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except RecursionError as e:     # a crash must not exit as a verdict
-        print("error: input nested too deeply for the recursive parser or search: %s"
-              % _describe(e), file=sys.stderr)
+        print("error: input nested too deeply for the recursive parser, printer or "
+              "model checker: %s" % _describe(e), file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -17,7 +17,9 @@ The strategy works in phases on each branch:
 
 A saturated open branch refutes the goal outright: the strategy has no
 choicepoints, so no alternative proof attempt exists.  Every premise of
-a branching rule is searched on its own.  Short of a wall-clock limit,
+a branching rule is searched on its own, depth first on an explicit
+stack of pending premises, so branch depth is bounded by memory and the
+limits, not by Python's recursion limit.  Short of a wall-clock limit,
 the search is deterministic: the same goal, logic and limits always
 give the same result.
 """
@@ -57,11 +59,6 @@ class NotProved:
 @dataclass(frozen=True)
 class ResourceExhausted:
     limit: str
-
-
-class _OpenFound(Exception):
-    def __init__(self, seq: Sequent):
-        self.seq = seq
 
 
 class _Exhausted(Exception):
@@ -123,16 +120,14 @@ class Prover:
         for cap in caps:
             self.round_cap = cap
             try:
-                deriv = self._branch(seq, set(), 0)
-            except _OpenFound as e:
-                return NotProved(e.seq)
+                verdict = self._search(seq)
             except _Exhausted as e:
                 if e.limit == "structural rounds" and cap != top:
                     continue
                 return ResourceExhausted(e.limit)
-            deriv = Derivation(seq, deriv.instance, deriv.premises)
-            check(deriv, self.cfg)
-            return Valid(deriv)
+            if isinstance(verdict, Valid):
+                check(verdict.proof, self.cfg)
+            return verdict
 
     # -- main loop ------------------------------------------------------------
 
@@ -145,82 +140,65 @@ class Prover:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _Exhausted("wall clock")
 
-    def _branch(self, seq: Sequent, memo: Set[tuple], rounds: int) -> Derivation:
-        # No sequent outlives its successor: the trail keeps rule instances,
-        # seq is dropped before a split, and _split hands each premise over
-        # as its branch starts
-        trail: List[RuleInstance] = []
+    def _search(self, root: Sequent):
+        """Valid or NotProved for root; raises _Exhausted when a limit fires.
 
-        def apply_unary(inst, premises=None):
-            # premises, if given, is the one premise already computed,
-            # popped so that the caller's list does not keep it
-            nonlocal seq
-            self._tick(seq)
-            trail.append(inst)
-            if premises is None:
-                (seq,) = expand(seq, inst, self.cfg)
-            else:
-                seq = premises.pop()
-
-        while True:
-            inst = closures(seq, self.cfg)
-            if inst is not None:
-                return self._fold(trail, Derivation(None, inst, ()))
-
-            got = self._norm_step(seq, memo)
-            if got is None:
-                inst = self._invertible_unary(seq)
+        Each pending premise waits on the stack with the memo and round
+        count of its branch; the first premise is popped first, so steps
+        lists the rule instances in depth-first order."""
+        steps: List[RuleInstance] = []
+        stack = [(root, set(), 0)]
+        while stack:
+            seq, memo, rounds = stack.pop()
+            while True:
+                inst = closures(seq, self.cfg)
                 if inst is not None:
-                    got = (inst, memo)
-            if got is not None:
-                inst, memo = got
-                apply_unary(inst)
-                continue
+                    steps.append(inst)
+                    break
 
-            inst = self._invertible_branching(seq)
-            if inst is not None:
-                self._tick(seq)
-                premises = list(expand(seq, inst, self.cfg))
-            else:
-                ob = self._obligation(seq, memo, min_score=1)
-                if ob is None:
-                    if rounds < self.round_cap:
-                        seq, added = self._structural_round(seq, trail)
-                        if added:
-                            rounds += 1
-                            continue
-                        ob = self._obligation(seq, memo, min_score=0)
-                        if ob is None:
-                            raise _OpenFound(seq)
-                    else:
-                        ob = self._obligation(seq, memo, min_score=0)
-                        if ob is None:
-                            raise _Exhausted("structural rounds")
-                keys, inst = ob
-                memo = memo.union(keys)
-                # its premise count decides whether it extends this
-                # branch or splits it
-                premises = list(expand(seq, inst, self.cfg))
-                if len(premises) == 1:
-                    apply_unary(inst, premises)
+                got = self._norm_step(seq, memo)
+                if got is None:
+                    inst = self._invertible_unary(seq)
+                    if inst is not None:
+                        got = (inst, memo)
+                if got is not None:
+                    inst, memo = got
+                    self._tick(seq)
+                    steps.append(inst)
+                    (seq,) = expand(seq, inst, self.cfg)
                     continue
-                self._tick(seq)
-            seq = None
-            return self._split(inst, premises, trail, memo, rounds)
 
-    def _fold(self, trail, deriv: Derivation) -> Derivation:
-        for inst in reversed(trail):
-            deriv = Derivation(None, inst, (deriv,))
-        return deriv
-
-    def _split(self, inst, premises: List[Sequent], trail, memo, rounds):
-        # premises are popped as their branches start, so that none stays
-        # referenced here; a loop, not a comprehension, whose frame would
-        # make every branching level one frame deeper
-        subderivs = []
-        while premises:
-            subderivs.append(self._branch(premises.pop(0), memo, rounds))
-        return self._fold(trail, Derivation(None, inst, tuple(subderivs)))
+                inst = self._invertible_branching(seq)
+                if inst is not None:
+                    self._tick(seq)
+                    premises = expand(seq, inst, self.cfg)
+                else:
+                    ob = self._obligation(seq, memo, min_score=1)
+                    if ob is None:
+                        if rounds < self.round_cap:
+                            seq, added = self._structural_round(seq, steps)
+                            if added:
+                                rounds += 1
+                                continue
+                        ob = self._obligation(seq, memo, min_score=0)
+                        if ob is None:
+                            if rounds < self.round_cap:
+                                return NotProved(seq)
+                            raise _Exhausted("structural rounds")
+                    keys, inst = ob
+                    memo = memo.union(keys)
+                    # its premise count decides whether it extends this
+                    # branch or splits it
+                    premises = expand(seq, inst, self.cfg)
+                    self._tick(seq)
+                    if len(premises) == 1:
+                        steps.append(inst)
+                        (seq,) = premises
+                        continue
+                steps.append(inst)
+                stack.extend((p, memo, rounds) for p in reversed(premises))
+                break
+        return Valid(Derivation(root, tuple(steps)))
 
     # -- phase 2: substitutional rules and commutativity ----------------------
 
@@ -418,13 +396,13 @@ class Prover:
 
     # -- phase 5: structural rounds -------------------------------------------
 
-    def _structural_round(self, seq: Sequent, trail):
+    def _structural_round(self, seq: Sequent, steps: List[RuleInstance]):
         added = 0
 
         def apply(inst):
             nonlocal seq, added
             self._tick(seq)
-            trail.append(inst)
+            steps.append(inst)
             (seq,) = expand(seq, inst, self.cfg)
             added += 1
 

@@ -21,11 +21,11 @@ SEP = preset("separata+")
 
 
 def close(seq, cfg):
-    """Find the zero-premise rule closing seq and wrap it as a leaf."""
+    """Find the zero-premise rule instance closing seq."""
     inst = closures(seq, cfg)
     assert inst is not None, "no closure for %s" % seq
     assert expand(seq, inst, cfg) == ()
-    return Derivation(seq, inst, ())
+    return inst
 
 
 def step(seq, inst, cfg):
@@ -201,9 +201,14 @@ def test_check_accepts_transcribed_derivation():
     i4 = RuleInstance(Rule.STAR_R, principal_delta=((1, f),),
                       principal_rels=((EPS, 1, 1),))
     p1, p2 = expand(s3, i4, BBI)
-    deriv = Derivation(s0, i1, (Derivation(s1, i2, (Derivation(s2, i3, (
-        Derivation(s3, i4, (close(p1, BBI), close(p2, BBI))),)),)),))
+    # depth first, first premise first: the split, then p1's and p2's leaves
+    deriv = Derivation(s0, (i1, i2, i3, i4, close(p1, BBI), close(p2, BBI)))
+    assert deriv.rule_count() == 6
     assert check(deriv, BBI)
+    # the same steps with the premises' leaves swapped close neither
+    swapped = Derivation(s0, (i1, i2, i3, i4, close(p2, BBI), close(p1, BBI)))
+    with pytest.raises(RuleError):
+        check(swapped, BBI)
 
 
 def test_check_accepts_heap_derivation():
@@ -221,27 +226,25 @@ def test_check_accepts_heap_derivation():
     assert s3.rel == ((2, 2, 1),)
     i4 = RuleInstance(Rule.D, principal_rels=((2, 2, 1),), subst=((2, EPS),))
     s4 = step(s3, i4, SEP)
-    deriv = Derivation(s0, i1, (Derivation(s1, i2, (Derivation(s2, i3, (
-        Derivation(s3, i4, (close(s4, SEP),)),)),)),))
-    assert check(deriv, SEP)
+    assert check(Derivation(s0, (i1, i2, i3, i4, close(s4, SEP))), SEP)
 
 
-def test_check_rejects_wrong_premise():
+def test_check_rejects_step_that_misses_its_premise():
+    # each step applies to the premise that check recomputes, not to a
+    # sequent the proof states
     goal = parse("a -> a")
     s0 = initial_sequent(goal)
     i1 = RuleInstance(Rule.IMP_R, principal_delta=((1, goal),))
-    s1 = step(s0, i1, BBI)
-    leaf = close(s1, BBI)
     wrong = Sequent(gamma=((1, parse("b")),), delta=((1, parse("b")),))
-    bad = Derivation(s0, i1, (Derivation(wrong, leaf.instance, ()),))
-    with pytest.raises(RuleError):
-        check(bad, BBI)
+    with pytest.raises(RuleError) as e:
+        check(Derivation(s0, (i1, close(wrong, BBI))), BBI)
+    assert str(e.value) == "missing antecedent a1: b"
 
 
 def test_check_rejects_open_leaf():
     s0 = initial_sequent(parse("a -> a"))
     with pytest.raises(RuleError):
-        check(Derivation(s0), BBI)
+        check(Derivation(s0, ()), BBI)
 
 
 def test_rule_error_messages():
@@ -274,15 +277,13 @@ def test_rule_error_messages():
     goal = parse("a -> a")
     s0 = initial_sequent(goal)
     i1 = RuleInstance(Rule.IMP_R, principal_delta=((1, goal),))
-    s1 = step(s0, i1, BBI)
+    leaf = close(step(s0, i1, BBI), BBI)
     with pytest.raises(RuleError) as e:
-        check(Derivation(s0, i1, ()), BBI)
-    assert str(e.value) == "rule ->R expects 1 premises, got 0"
-    wrong = Sequent(gamma=((1, parse("b")),), delta=((1, parse("b")),))
-    leaf = close(s1, BBI)
+        check(Derivation(s0, (i1,)), BBI)          # too few steps
+    assert str(e.value) == "open leaf in derivation"
     with pytest.raises(RuleError) as e:
-        check(Derivation(s0, i1, (Derivation(wrong, leaf.instance, ()),)), BBI)
-    assert str(e.value) == "premise mismatch under rule ->R"
+        check(Derivation(s0, (i1, leaf, leaf)), BBI)   # too many
+    assert str(e.value) == "rule id applied after every branch closed"
 
 
 def test_passing_checks_format_nothing(monkeypatch):

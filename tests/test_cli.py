@@ -3,7 +3,9 @@ import pytest
 
 from pasl import cli
 from pasl.cli import load_corpus, main
+from pasl.config import preset
 from pasl.formula import parse
+from pasl.search import prove
 
 
 def run(capsys, *argv):
@@ -25,6 +27,55 @@ def test_prove_with_proof_output(capsys):
     assert lines[0] == "Valid"
     assert lines[1].startswith("[->R]")
     assert any("[id]" in ln for ln in lines)
+
+
+GOLDEN = {"text": """\
+Valid
+[->R]  |- a1: a -> emp * a
+[U] a1: a |- a1: emp * a
+[U] (e,e |> e) ; a1: a |- a1: emp * a
+[E] (e,e |> e); (a1,e |> a1) ; a1: a |- a1: emp * a
+[*R] (e,e |> e); (a1,e |> a1); (e,a1 |> a1) ; a1: a |- a1: emp * a
+[empR] (e,e |> e); (a1,e |> a1); (e,a1 |> a1) ; a1: a |- e: emp, a1: emp * a
+[id] (e,e |> e); (a1,e |> a1); (e,a1 |> a1) ; a1: a |- a1: a, a1: emp * a
+""", "tree": """\
+Valid
+[->R]  |- a1: a -> emp * a
+  [U] a1: a |- a1: emp * a
+    [U] (e,e |> e) ; a1: a |- a1: emp * a
+      [E] (e,e |> e); (a1,e |> a1) ; a1: a |- a1: emp * a
+        [*R] (e,e |> e); (a1,e |> a1); (e,a1 |> a1) ; a1: a |- a1: emp * a
+          [empR] (e,e |> e); (a1,e |> a1); (e,a1 |> a1) ; a1: a |- e: emp, a1: emp * a
+          [id] (e,e |> e); (a1,e |> a1); (e,a1 |> a1) ; a1: a |- a1: a, a1: emp * a
+"""}
+
+
+@pytest.mark.parametrize("style", ["text", "tree"])
+def test_proof_output_format(capsys, style):
+    # one line per rule instance, depth first, premises in order; the tree
+    # indents each premise one level below its conclusion
+    code, out, err = run(capsys, "prove", "a -> (emp * a)", "--proof", style)
+    assert code == 0 and err == ""
+    assert out == GOLDEN[style]
+
+
+def test_deep_proof_prints(capsys):
+    # a proof whose branches nest past Python's recursion limit
+    f = "~(true -* ~emp) * ~(true -* ~emp) -> ~(true -* ~emp)"
+    steps = prove(parse(f), preset("bbi+p")).proof.rule_count()
+    code, out, _ = run(capsys, "prove", f, "--logic", "bbi+p", "--proof", "text")
+    assert code == 0
+    assert len(out.splitlines()) == steps + 1
+
+
+def test_unprintable_proof_leaves_no_verdict(capsys):
+    # the search and check need no recursion, but printing a formula does:
+    # the error must not follow a verdict already on stdout
+    f = "a -> " + " /\\ ".join(["a"] * 1500)
+    code, out, err = run(capsys, "prove", f, "--proof", "text")
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "in _show]" in err
 
 
 def test_prove_not_proved(capsys):

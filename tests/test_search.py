@@ -118,6 +118,23 @@ def test_search_is_reproducible():
     assert v1.proof == v2.proof
 
 
+def test_branch_depth_is_not_bounded_by_recursion():
+    # 1,499 nested andR splits, each closed by id
+    f = parse("a -> " + " /\\ ".join(["a"] * 1500))
+    v = prove(f, BBI)
+    assert isinstance(v, Valid)
+    assert v.proof.rule_count() == 3000
+
+
+def test_deep_proof_prints_and_hashes():
+    # the proof is a flat list of steps, so nothing walks it recursively
+    v = prove(parse("~(true -* ~emp) * ~(true -* ~emp) -> ~(true -* ~emp)"),
+              preset("bbi+p"))
+    assert isinstance(v, Valid)
+    assert repr(v).startswith("Valid(proof=Derivation(")
+    assert hash(v.proof) == hash(v.proof)
+
+
 NEGATIVE_CONTROL = "(emp /\\ (a * b)) -> a"
 
 
