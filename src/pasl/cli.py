@@ -10,8 +10,8 @@ from typing import List
 
 from .calculus import Derivation, expand
 from .config import ConfigError, LogicConfig, preset
-from .formula import ParseError, has_heap, parse, show
-from .oracle import check_conditions, find_countermodel, format_model, parse_model, satisfies
+from .formula import ParseError, parse, show
+from .oracle import check_conditions, format_model, parse_model, satisfies
 from .search import NotProved, Prover, ResourceExhausted, SearchLimits, Valid, prove
 from .sequent import format_sequent
 
@@ -107,12 +107,11 @@ def cmd_prove(args) -> int:
     if isinstance(verdict, NotProved):
         print("NotProved")
         print("open branch: %s" % format_sequent(verdict.open_branch))
-        if args.countermodel_search and not has_heap(goal):
-            found = find_countermodel(goal, cfg, args.countermodel_search)
-            if found is not None:
-                model, world = found
-                print("countermodel:")
-                sys.stdout.write(format_model(model, world))
+        if verdict.countermodel is None:
+            print("countermodel: none certified from the open branch")
+        else:
+            print("countermodel:")
+            sys.stdout.write(format_model(*verdict.countermodel))
         return EXIT_NOT_PROVED
     print("ResourceExhausted (%s)" % verdict.limit)
     return EXIT_EXHAUSTED
@@ -176,7 +175,6 @@ def main(argv=None) -> int:
     p.add_argument("formula")
     _add_search_flags(p)
     p.add_argument("--proof", choices=("text", "tree"), default=None)
-    p.add_argument("--countermodel-search", type=int, default=0, metavar="N")
     p.set_defaults(func=cmd_prove)
 
     b = sub.add_parser("bench", help="run a corpus of expected verdicts")
@@ -195,8 +193,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except RecursionError as e:     # a crash must not exit as a verdict
-        print("error: input nested too deeply for the recursive parser, printer or "
-              "model checker: %s" % _describe(e), file=sys.stderr)
+        print("error: input nested too deeply for the recursive parser: %s"
+              % _describe(e), file=sys.stderr)
         return EXIT_ERROR
 
 

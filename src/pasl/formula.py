@@ -305,35 +305,52 @@ def show(f: Formula) -> str:
     return _show(f, 0)
 
 
+_BINARY_SHOW = {"imp": " -> ", "wand": " -* ", "or": " \\/ ", "and": " /\\ ",
+                "star": " * "}
+
+
 def _show(f: Formula, ctx: int) -> str:
-    k = f.kind
-    if k == "var":
-        return f.args[0]
-    if k == "top":
-        return "true"
-    if k == "bot":
-        return "false"
-    if k == "emp":
-        return "emp"
-    if k == "mapsto":
-        s = "%s |-> %s" % f.args
-    elif k == "eq":
-        s = "%s = %s" % f.args
-    elif k == "exists":
-        s = "exists %s. %s" % (f.args[0], _show(f.args[1], 0))
-    elif k == "not":
-        return "~" + _show(f.args[0], _PREC["not"])
-    else:
-        p = _PREC[k]
-        a, b = f.args
-        if k == "imp":
-            s = "%s -> %s" % (_show(a, p + 1), _show(b, p))
-        elif k == "wand":
-            s = "%s -* %s" % (_show(a, p + 1), _show(b, p))
+    """f printed inside a context of precedence ctx, parenthesized where
+    the context binds tighter.  Iterative: a work stack of formulas still
+    to print and text to emit after them, so nesting depth is bounded by
+    memory, not by Python's recursion limit."""
+    out = []
+    stack = [(f, ctx)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        g, ctx = item
+        k = g.kind
+        if k == "var":
+            out.append(g.args[0])
+        elif k in ("top", "bot", "emp"):
+            out.append({"top": "true", "bot": "false", "emp": "emp"}[k])
+        elif k == "not":
+            out.append("~")
+            stack.append((g.args[0], _PREC["not"]))
+        elif k in _BINARY_SHOW:
+            p = _PREC[k]
+            a, b = g.args
+            # -> and -* associate to the right, the others to the left
+            left, right = (p + 1, p) if k in ("imp", "wand") else (p, p + 1)
+            paren = p < ctx
+            if paren:
+                out.append("(")
+                stack.append(")")
+            stack.extend(((b, right), _BINARY_SHOW[k], (a, left)))
         else:
-            # left associative binary connectives
-            op = {"or": "\\/", "and": "/\\", "star": "*"}[k]
-            s = "%s %s %s" % (_show(a, p), op, _show(b, p + 1))
-        return s if p >= ctx else "(" + s + ")"
-    # heap atoms and exists always parenthesized in compound contexts
-    return s if ctx == 0 else "(" + s + ")"
+            # heap atoms and exists always parenthesized in compound contexts
+            paren = ctx != 0
+            if paren:
+                out.append("(")
+                stack.append(")")
+            if k == "mapsto":
+                out.append("%s |-> %s" % g.args)
+            elif k == "eq":
+                out.append("%s = %s" % g.args)
+            else:
+                out.append("exists %s. " % g.args[0])
+                stack.append((g.args[1], 0))
+    return "".join(out)

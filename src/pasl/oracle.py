@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, Optional, Tuple
 
 from .config import LogicConfig
-from .formula import Formula, prop_names
+from .formula import Formula, has_heap, prop_names
 from .sequent import EPS, Sequent
 
 Triple = Tuple[int, int, int]
@@ -30,33 +30,69 @@ class FrameModel:
 
 
 def satisfies(model: FrameModel, world: int, f: Formula) -> bool:
-    k = f.kind
-    if k == "var":
-        return world in model.valuation.get(f.args[0], ())
-    if k == "top":
-        return True
-    if k == "bot":
-        return False
-    if k == "emp":
-        return world == model.eps
-    if k == "not":
-        return not satisfies(model, world, f.args[0])
-    if k == "and":
-        return satisfies(model, world, f.args[0]) and satisfies(model, world, f.args[1])
-    if k == "or":
-        return satisfies(model, world, f.args[0]) or satisfies(model, world, f.args[1])
-    if k == "imp":
-        return (not satisfies(model, world, f.args[0])) or satisfies(model, world, f.args[1])
-    if k == "star":
-        a, b = f.args
-        return any(c == world and satisfies(model, x, a) and satisfies(model, y, b)
-                   for (x, y, c) in model.rel)
-    if k == "wand":
-        a, b = f.args
-        return all(satisfies(model, y, b)
-                   for (w, x, y) in model.rel
-                   if w == world and satisfies(model, x, a))
-    raise ValueError("cannot evaluate %r in a frame model" % k)
+    """Does f hold at world, one of the worlds 0..size-1 of model?"""
+    if not 0 <= world < model.size:
+        raise ValueError("world %d is not in a model of %d worlds" % (world, model.size))
+    return _truth(model, f) >> world & 1 == 1
+
+
+_EVALUATED = {"var", "top", "bot", "emp", "not", "and", "or", "imp", "star", "wand"}
+
+
+def _truth(model: FrameModel, f: Formula) -> int:
+    """The bitmask of the worlds where f holds in model.  Each distinct
+    subformula is evaluated once, children before parents, on an
+    explicit stack, so nesting depth is bounded by memory, not by
+    Python's recursion limit."""
+    n = model.size
+    full = (1 << n) - 1
+    got: Dict[Formula, int] = {}
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if g in got:
+            stack.pop()
+            continue
+        k = g.kind
+        if k not in _EVALUATED:
+            raise ValueError("cannot evaluate %r in a frame model" % k)
+        todo = [a for a in g.args if isinstance(a, Formula) and a not in got]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        if k == "var":
+            m = 0
+            for w in model.valuation.get(g.args[0], ()):
+                m |= 1 << w
+        elif k == "top":
+            m = full
+        elif k == "bot":
+            m = 0
+        elif k == "emp":
+            m = 1 << model.eps
+        elif k == "not":
+            m = full & ~got[g.args[0]]
+        else:
+            a, b = got[g.args[0]], got[g.args[1]]
+            if k == "and":
+                m = a & b
+            elif k == "or":
+                m = a | b
+            elif k == "imp":
+                m = (full & ~a) | b
+            elif k == "star":       # some (x,y |> c) with a at x and b at y
+                m = 0
+                for (x, y, c) in model.rel:
+                    if a >> x & 1 and b >> y & 1:
+                        m |= 1 << c
+            else:                   # wand: every (w,x |> y) with a at x has b at y
+                m = full
+                for (w, x, y) in model.rel:
+                    if a >> x & 1 and not b >> y & 1:
+                        m &= ~(1 << w)
+        got[g] = m & full
+    return got[f]
 
 
 def _table(rel, n: int):
@@ -242,13 +278,66 @@ def find_countermodel(f: Formula, cfg: LogicConfig,
             frames = enumerate_frames(n, cfg)
         except ValueError:
             break
+        full = (1 << n) - 1
         for rel in frames:
             for val in _valuations(props, n):
                 model = FrameModel(n, rel, val)
-                for h in range(n):
-                    if not satisfies(model, h, f):
-                        return model, h
+                h = _first_zero(_truth(model, f), full)
+                if h is not None:
+                    return model, h
     return None
+
+
+def _first_zero(mask: int, full: int) -> Optional[int]:
+    """The smallest world of full that mask leaves out, or None."""
+    rest = full & ~mask
+    return (rest & -rest).bit_length() - 1 if rest else None
+
+
+def branch_countermodel(seq: Sequent, merge: Dict[int, int], goal: Formula,
+                        cfg: LogicConfig) -> Optional[Tuple[FrameModel, int]]:
+    """The finite model an open branch of goal's search describes, with a
+    world where goal fails, if that model is a frame of cfg; None
+    otherwise.
+
+    e is world 0, each label in merge shares the world of the label it
+    maps to, and every other label of seq gets a world of its own, in
+    label order.  The relation is the image of seq's atoms plus the unit
+    atoms, closed under commutativity; a variable holds at the world of
+    each unmerged label that carries it in the antecedent.  The world of
+    label 1, the goal's in an initial sequent, is tried first.  Heap
+    logics and heap goals get no model: frames here do not model the
+    heap."""
+    if cfg.heap_extension or has_heap(goal):
+        return None
+    world = {EPS: 0}
+    for w in sorted(seq.labels):
+        if w != EPS and w not in merge:
+            world[w] = len(world)
+    n = len(world)
+    for w, b in merge.items():
+        world[w] = world[b]
+    rel = set()
+    for (x, y, z) in seq.rel:
+        rel.add((world[x], world[y], world[z]))
+        rel.add((world[y], world[x], world[z]))
+    for w in range(n):
+        rel.add((w, 0, w))
+        rel.add((0, w, w))
+    val: Dict[str, set] = {}
+    for (w, f) in seq.gamma:
+        if f.kind == "var" and w not in merge:
+            val.setdefault(f.args[0], set()).add(world[w])
+    rel = frozenset(rel)
+    if not check_conditions(rel, n, cfg):
+        return None
+    model = FrameModel(n, rel, {p: frozenset(ws) for p, ws in val.items()})
+    holds = _truth(model, goal)
+    first = world.get(1, 0)
+    if not holds >> first & 1:
+        return model, first
+    h = _first_zero(holds, (1 << n) - 1)
+    return None if h is None else (model, h)
 
 
 def assignments(labels, model: FrameModel) -> Iterator[Dict[int, int]]:

@@ -15,8 +15,20 @@ The strategy works in phases on each branch:
    remaining splittings with no subformula affinity; a branch with
    nothing left at all is saturated.
 
-A saturated open branch refutes the goal outright: the strategy has no
-choicepoints, so no alternative proof attempt exists.  Every premise of
+The splittings of step 6 for splittability (S) and cross-split (CS, CSC)
+make fresh labels that the same rules split again without end.  They
+are blocked on a label that carries no formula an older label lacks
+(see _blockers).  A branch ends open, and the goal NotProved, when
+nothing is left to apply but blocked instances.  The finite model read
+off that branch, each blocked label merged into its blocker, is then
+checked by the oracle: it must be a frame of the logic in which the
+goal fails at some world.  A blocked branch without such a model is
+not an answer: its labels are unblocked and the search goes on, so
+blocking can delay a proof but never lose one.  A saturated open branch
+ends NotProved in any case, since the strategy has no choicepoints and
+so no other proof attempt; its model is attached only if the oracle
+accepts it, and a NotProved without one is a search that found no
+proof, not a checked refutation.  Every premise of
 a branching rule is searched on its own, depth first on an explicit
 stack of pending premises, so branch depth is bounded by memory and the
 limits, not by Python's recursion limit.  Short of a wall-clock limit,
@@ -27,13 +39,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from .calculus import (Derivation, Rule, RuleInstance, check, closures,
                        expand, from_applied)
 from .config import ConfigError, LogicConfig
 from .formula import EMP, Formula, has_heap, subformulae, subst_expr
 from .heap import find_heap_redex, fresh_expr_name, witnesses
+from .oracle import FrameModel, branch_countermodel
 from .sequent import EPS, Sequent, initial_sequent
 from .unify import find_redex
 
@@ -54,11 +67,19 @@ class Valid:
 @dataclass(frozen=True)
 class NotProved:
     open_branch: Sequent
+    # a finite model of the logic and a world where it falsifies the goal,
+    # read off open_branch and checked by the oracle; None if none passed
+    countermodel: Optional[Tuple[FrameModel, int]] = None
 
 
 @dataclass(frozen=True)
 class ResourceExhausted:
     limit: str
+
+
+def _still_blocked(blockers: Dict[int, int], memo: Set[tuple]) -> Set[int]:
+    """The blocked labels that the branch of memo has not unblocked."""
+    return {w for w in blockers if ("unblock", w) not in memo}
 
 
 class _Exhausted(Exception):
@@ -98,6 +119,7 @@ class Prover:
         self.limits = limits
         self.deadline = None
         self.apps = 0
+        self.goal = None
 
     # -- public entry points --------------------------------------------------
 
@@ -117,6 +139,9 @@ class Prover:
         caps = [c for c in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64) if c < top]
         caps.append(top)
         self.apps = 0
+        # the goal of an initial sequent, which an open branch may refute
+        self.goal = (seq.delta[0][1] if seq.delta
+                     and seq == initial_sequent(seq.delta[0][1]) else None)
         for cap in caps:
             self.round_cap = cap
             try:
@@ -182,9 +207,10 @@ class Prover:
                                 continue
                         ob = self._obligation(seq, memo, min_score=0)
                         if ob is None:
-                            if rounds < self.round_cap:
-                                return NotProved(seq)
-                            raise _Exhausted("structural rounds")
+                            verdict, memo = self._open_branch(seq, memo, rounds)
+                            if verdict is not None:
+                                return verdict
+                            continue
                     keys, inst = ob
                     memo = memo.union(keys)
                     # its premise count decides whether it extends this
@@ -331,14 +357,19 @@ class Prover:
                                                     principal_gamma=(lf,),
                                                     principal_rels=(a,))
         if min_score == 0:
-            if self.cfg.splittability:
-                ob = self._split_obligation(seq, memo)
-                if ob is not None:
-                    return ob
-            if self.cfg.cross_split:
-                ob = self._cross_split_obligation(seq, memo)
-                if ob is not None:
-                    return ob
+            return self._fresh_label_obligation(
+                seq, memo, _still_blocked(self._blockers(seq), memo))
+        return None
+
+    def _fresh_label_obligation(self, seq, memo, blocked):
+        """An untried EM instance, or S, CS or CSC instance whose principal
+        labels are not in blocked."""
+        if self.cfg.splittability:
+            ob = self._split_obligation(seq, memo, blocked)
+            if ob is not None:
+                return ob
+        if self.cfg.cross_split:
+            return self._cross_split_obligation(seq, memo, blocked)
         return None
 
     def _witness(self, seq: Sequent, lf, memo: Set[tuple]):
@@ -352,19 +383,21 @@ class Prover:
             return (("exR", lf, fresh), ("exR-fresh", lf)), fresh
         return None
 
-    def _split_obligation(self, seq, memo):
+    def _split_obligation(self, seq, memo, blocked):
         for q in seq.ineq:
-            if q[1] != EPS or q[0] == EPS:
+            if q[1] != EPS or q[0] == EPS or q[0] in blocked:
                 continue
             key = ("S", q)
             if key not in memo:
                 f = seq.fresh_label()
                 return (key,), RuleInstance(Rule.S, principal_ineqs=(q,),
                                             fresh=(f, f + 1))
-        # excluded middle on emptiness, for labels that emp talks about
-        targets = set(w for (w, _) in seq.ineq if w != EPS)
+        # excluded middle on emptiness, for labels that emp talks about and
+        # that are not known to be non-empty yet
+        targets = set()
         for (w, f) in seq.gamma + seq.delta:
-            if w != EPS and any(g is EMP for g in subformulae(f)):
+            if (w != EPS and (w, EPS) not in seq.ineq_set
+                    and any(g is EMP for g in subformulae(f))):
                 targets.add(w)
         for w in sorted(targets):
             key = ("EM", w)
@@ -372,19 +405,16 @@ class Prover:
                 return (key,), RuleInstance(Rule.EM, labels=(w,))
         return None
 
-    def _cross_split_obligation(self, seq, memo):
-        rel = list(seq.rel)
+    def _cross_split_obligation(self, seq, memo, blocked):
+        rel = [a for a in seq.rel
+               if a[0] != EPS and a[1] != EPS and blocked.isdisjoint(a)]
         for i, a1 in enumerate(rel):
-            if a1[0] == EPS or a1[1] == EPS:
-                continue
             key = ("CSC", a1)
             if key not in memo:
                 f = seq.fresh_label()
                 return (key,), RuleInstance(Rule.CS_C, principal_rels=(a1,),
                                             fresh=(f, f + 1, f + 2, f + 3))
             for a2 in rel[i + 1:]:
-                if a2[0] == EPS or a2[1] == EPS:
-                    continue
                 if a1[2] != a2[2]:
                     continue
                 key = ("CS", a1, a2)
@@ -393,6 +423,77 @@ class Prover:
                     return (key,), RuleInstance(Rule.CS, principal_rels=(a1, a2),
                                                 fresh=(f, f + 1, f + 2, f + 3))
         return None
+
+    # -- blocking and the model of an open branch -----------------------------
+
+    def _blockers(self, seq: Sequent) -> Dict[int, int]:
+        """Each blocked label of seq, mapped to its smallest blocker.
+
+        A label w other than e is blocked by an older label b, b < w and
+        b other than e, that carries every antecedent and succedent formula
+        w carries; with splittability, b != e must also be on the branch.
+        Only S, CS and CSC make labels without end, so other logics block
+        nothing."""
+        if not (self.cfg.splittability or self.cfg.cross_split):
+            return {}
+        carried: Dict[int, Tuple[set, set]] = {}
+        for (w, f) in seq.gamma:
+            carried.setdefault(w, (set(), set()))[0].add(f)
+        for (w, f) in seq.delta:
+            carried.setdefault(w, (set(), set()))[1].add(f)
+        if self.cfg.splittability:
+            olders = [x for (x, y) in seq.ineq if y == EPS and x != EPS]
+        else:
+            olders = [w for w in seq.labels if w != EPS]
+        # a label that carries nothing is blocked by the oldest candidate,
+        # one that carries formulas only by a candidate that carries more
+        oldest = min(olders, default=None)
+        carrying = sorted(b for b in olders if b in carried)
+        out = {}
+        for w in seq.labels:
+            if w == EPS:
+                continue
+            if w not in carried:
+                if oldest is not None and oldest < w:
+                    out[w] = oldest
+                continue
+            g, d = carried[w]
+            for b in carrying:
+                if b >= w:
+                    break
+                if g <= carried[b][0] and d <= carried[b][1]:
+                    out[w] = b
+                    break
+        return out
+
+    def _open_branch(self, seq: Sequent, memo: Set[tuple], rounds: int):
+        """The NotProved that seq ends with, when nothing is left to apply
+        to it but blocked instances; or None, and the memo that unblocks
+        every blocked label, when blocking stopped it and its model is not
+        certified.  Raises _Exhausted when the round cap left seq
+        unsaturated.
+
+        The model merges every blocked label into its blocker, unblocked
+        ones too, so it has a world per kind of label, not per label."""
+        merge = self._blockers(seq)
+        blocked = _still_blocked(merge, memo)
+        if (blocked and self._fresh_label_obligation(seq, memo, frozenset())
+                is not None):
+            model = self._countermodel(seq, merge)
+            if model is not None:
+                return NotProved(seq, model), memo
+            return None, memo.union(("unblock", w) for w in blocked)
+        if rounds < self.round_cap:
+            return NotProved(seq, self._countermodel(seq, merge)), memo
+        raise _Exhausted("structural rounds")
+
+    def _countermodel(self, seq: Sequent, merge: Dict[int, int]):
+        """A certified countermodel of the goal read off the open branch
+        seq, with each label in merge merged into the one it maps to, or
+        None."""
+        if self.goal is None:
+            return None
+        return branch_countermodel(seq, merge, self.goal, self.cfg)
 
     # -- phase 5: structural rounds -------------------------------------------
 

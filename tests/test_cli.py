@@ -1,7 +1,7 @@
 """Command line interface."""
 import pytest
 
-from pasl import cli
+from pasl import cli, oracle
 from pasl.cli import load_corpus, main
 from pasl.config import preset
 from pasl.formula import parse
@@ -68,14 +68,24 @@ def test_deep_proof_prints(capsys):
     assert len(out.splitlines()) == steps + 1
 
 
-def test_unprintable_proof_leaves_no_verdict(capsys):
-    # the search and check need no recursion, but printing a formula does:
-    # the error must not follow a verdict already on stdout
+def test_deep_goal_proof_prints(capsys):
+    # printing a formula needs no recursion either
     f = "a -> " + " /\\ ".join(["a"] * 1500)
     code, out, err = run(capsys, "prove", f, "--proof", "text")
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 3001
+
+
+def test_unprintable_proof_leaves_no_verdict(capsys, monkeypatch):
+    # the error must not follow a verdict already on stdout
+    def unprintable(seq):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "format_sequent", unprintable)
+    code, out, err = run(capsys, "prove", "a -> a", "--proof", "text")
     assert code == 3 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
-    assert "in _show]" in err
+    assert "in unprintable]" in err
 
 
 def test_prove_not_proved(capsys):
@@ -85,11 +95,38 @@ def test_prove_not_proved(capsys):
     assert "open branch:" in out
 
 
-def test_prove_countermodel_search(capsys):
-    code, out, _ = run(capsys, "prove", "a -> a * a", "--countermodel-search", "2")
+def test_prove_countermodel_search(tmp_path, capsys):
+    # the model prove prints passes check-model, false at the printed world;
+    # the bbi+s formula's search ends by blocking S
+    for formula, logic in [("a -> a * a", "bbi"), ("b -> ((~a * a) \\/ emp)", "bbi+s")]:
+        code, out, _ = run(capsys, "prove", formula, "--logic", logic)
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0] == "NotProved" and lines[1].startswith("open branch:")
+        assert lines[2] == "countermodel:"
+        assert lines[-1].startswith("falsified_at ")
+        model = tmp_path / "m.model"
+        model.write_text("\n".join(lines[3:]) + "\n")
+        code, out, err = run(capsys, "check-model", str(model), formula,
+                             "--logic", logic)
+        assert code == 0 and err == ""
+        assert out.strip().endswith(": false")
+
+
+def test_prove_reports_an_uncertified_open_branch(capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "check_conditions", lambda rel, n, cfg: False)
+    code, out, _ = run(capsys, "prove", "a -> a * a")
     assert code == 1
-    assert "countermodel:" in out
-    assert "worlds 2" in out
+    assert out.splitlines()[2] == "countermodel: none certified from the open branch"
+
+
+def test_check_model_deep_formula(tmp_path, capsys):
+    model = tmp_path / "m.model"
+    model.write_text("worlds 1\neps 0\nrel 0 0 0\nval a 0\n")
+    f = " /\\ ".join(["a"] * 1500)
+    code, out, err = run(capsys, "check-model", str(model), f)
+    assert code == 0 and err == ""
+    assert out.endswith("@ 0: true\n")
 
 
 def test_prove_exhausted(capsys):

@@ -95,6 +95,18 @@ def test_show_round_trip():
         assert parse(show(f)) is f
 
 
+def test_show_deep_nesting():
+    # printing needs no recursion: nesting far past Python's recursion limit
+    chain = parse(" /\\ ".join(["a"] * 1500))
+    assert show(chain) == " /\\ ".join(["a"] * 1500)
+    assert parse(show(chain)) is chain
+    f = EMP
+    for _ in range(3000):
+        f = neg(f)
+    assert show(f) == "~" * 3000 + "emp"
+    assert repr(f).startswith("Formula(~~~")
+
+
 def test_size_and_subformulae():
     f = parse("(a * b) -> a")
     assert size(f) == 5

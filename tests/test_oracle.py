@@ -5,7 +5,7 @@ import random
 import pytest
 
 from pasl.config import preset
-from pasl.formula import parse
+from pasl.formula import BOT, EMP, TOP, conj, disj, imp, neg, parse, prop, show, star, wand
 from pasl.oracle import (
     FrameModel, assignments, check_conditions, enumerate_frames,
     find_countermodel, format_model, parse_model, satisfies,
@@ -264,3 +264,73 @@ def test_check_conditions_rejects_worlds_outside_the_frame():
     assert check_conditions(Z2, 2, BBI)
     assert not check_conditions(Z2 | {(2, 0, 2), (0, 2, 2)}, 2, BBI)
     assert not check_conditions(Z2 | {(1, 1, -1)}, 2, BBI)
+
+
+# -- recursive specification of satisfies ------------------------------------
+#
+# The direct recursive reading of the semantics; satisfies, which works on
+# an explicit stack, must agree with it exactly.
+
+def spec_satisfies(model, world, f):
+    k = f.kind
+    if k == "var":
+        return world in model.valuation.get(f.args[0], ())
+    if k == "top":
+        return True
+    if k == "bot":
+        return False
+    if k == "emp":
+        return world == model.eps
+    if k == "not":
+        return not spec_satisfies(model, world, f.args[0])
+    if k == "and":
+        return (spec_satisfies(model, world, f.args[0])
+                and spec_satisfies(model, world, f.args[1]))
+    if k == "or":
+        return (spec_satisfies(model, world, f.args[0])
+                or spec_satisfies(model, world, f.args[1]))
+    if k == "imp":
+        return (not spec_satisfies(model, world, f.args[0])
+                or spec_satisfies(model, world, f.args[1]))
+    if k == "star":
+        a, b = f.args
+        return any(c == world and spec_satisfies(model, x, a)
+                   and spec_satisfies(model, y, b) for (x, y, c) in model.rel)
+    if k == "wand":
+        a, b = f.args
+        return all(spec_satisfies(model, y, b) for (w, x, y) in model.rel
+                   if w == world and spec_satisfies(model, x, a))
+    raise ValueError(k)
+
+
+def _random_formula(rng, depth):
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice([prop("a"), prop("b"), TOP, BOT, EMP])
+    if rng.random() < 0.2:
+        return neg(_random_formula(rng, depth - 1))
+    build = rng.choice([conj, disj, imp, star, wand])
+    return build(_random_formula(rng, depth - 1), _random_formula(rng, depth - 1))
+
+
+def test_satisfies_matches_the_specification():
+    rng = random.Random(17)
+    for _ in range(1500):
+        n = rng.randint(1, 4)
+        rel = frozenset(t for t in _random_relation(rng, n)
+                        if all(0 <= w < n for w in t))
+        val = {p: frozenset(w for w in range(n) if rng.random() < 0.5)
+               for p in ("a", "b")}
+        model = FrameModel(n, rel, val)
+        f = _random_formula(rng, rng.randint(1, 5))
+        for w in range(n):
+            assert satisfies(model, w, f) == spec_satisfies(model, w, f), (f, sorted(rel))
+
+
+def test_satisfies_deep_formula():
+    # nesting far past Python's recursion limit
+    chain = parse(" /\\ ".join(["a"] * 1500))
+    m = FrameModel(1, frozenset({(0, 0, 0)}), {"a": frozenset({0})})
+    assert satisfies(m, 0, chain)
+    assert not satisfies(m, 0, parse("(%s) -> b" % show(chain)))
+    with pytest.raises(ValueError):
+        satisfies(m, 1, chain)

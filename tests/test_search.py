@@ -3,11 +3,12 @@ import tracemalloc
 
 import pytest
 
-from pasl import search
+from pasl import oracle, search
 from pasl.calculus import check
 from pasl.config import ConfigError, preset
 from pasl.formula import parse
-from pasl.oracle import assignments, find_countermodel, sequent_falsifiable
+from pasl.oracle import (assignments, check_conditions, find_countermodel, satisfies,
+                         sequent_falsifiable)
 from pasl.search import NotProved, Prover, ResourceExhausted, SearchLimits, Valid, prove
 from pasl.unify import eq_find
 
@@ -206,3 +207,71 @@ def test_obligations_see_only_normalized_labels(monkeypatch):
     ]:
         prove(parse(s), preset(logic), limits)
     assert {"*R", "-*L", "|->L2", "CS"} <= fired
+
+
+# -- blocking and certified countermodels -------------------------------------
+
+BLOCKED = "b -> ((~a * a) \\/ emp)"     # S unrolls without end in bbi+s
+FLEET_LIMITS = SearchLimits(max_rule_apps=20000, max_rel_atoms=800)
+
+
+def _certified(v, goal, cfg):
+    model, world = v.countermodel
+    return (check_conditions(model.rel, model.size, cfg)
+            and not satisfies(model, world, goal))
+
+
+@pytest.mark.parametrize("s,logic", [
+    ("~emp -> (~emp * ~emp)", "bbi+s"),
+    ("~emp -> ((~emp * ~emp) * ~emp)", "bbi+s"),
+    ("(a * b) -> (b * a)", "bbi+cs"),
+])
+def test_blocking_keeps_theorems_valid(s, logic):
+    v = prove(parse(s), preset(logic))
+    assert isinstance(v, Valid)
+    assert check(v.proof, preset(logic))
+
+
+def test_blocked_branch_ends_with_a_certified_model():
+    goal, cfg = parse(BLOCKED), preset("bbi+s")
+    v = prove(goal, cfg, FLEET_LIMITS)
+    assert isinstance(v, NotProved)
+    assert _certified(v, goal, cfg)
+
+
+def test_blocked_branch_never_ends_without_a_certificate(monkeypatch):
+    # with every frame rejected, blocked labels are unblocked and S
+    # unrolls as it would without blocking, until the atom budget fires
+    monkeypatch.setattr(oracle, "check_conditions", lambda rel, n, cfg: False)
+    v = prove(parse(BLOCKED), preset("bbi+s"), FLEET_LIMITS)
+    assert v == ResourceExhausted("relational atoms")
+
+
+def test_saturated_branches_carry_certified_models():
+    for s, logic in [("a -> a * a", "bbi"), ("(a * b) -> a", "pasl"),
+                     ("emp -> a", "bbi+cs"), ("(a -* b) -> b", "pasl+d")]:
+        goal, cfg = parse(s), preset(logic)
+        v = prove(goal, cfg)
+        assert isinstance(v, NotProved), s
+        assert _certified(v, goal, cfg), s
+
+
+def test_deep_refutable_goal_is_certified():
+    # the oracle evaluates the goal without recursion
+    goal = parse("(" + " /\\ ".join(["a"] * 1500) + ") -> b")
+    v = prove(goal, BBI)
+    assert isinstance(v, NotProved)
+    assert _certified(v, goal, BBI)
+    assert v.countermodel[0].size <= 2
+
+
+def test_deep_goal_verdict_prints():
+    v = prove(parse("a -> " + " /\\ ".join(["a"] * 1500)), BBI)
+    assert isinstance(v, Valid)
+    assert repr(v).startswith("Valid(proof=Derivation(")
+
+
+def test_heap_goals_get_no_model():
+    v = prove(parse("(x |-> y) -> (y |-> x)"), SEP, SearchLimits(max_rule_apps=5000))
+    assert not isinstance(v, Valid)
+    assert not isinstance(v, NotProved) or v.countermodel is None
