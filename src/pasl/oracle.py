@@ -158,15 +158,21 @@ def _meets_extras(comp, targets, n: int, cfg: LogicConfig) -> bool:
             return False
     if cfg.splittability:
         # every non-empty world is a sum of two non-empty ones
-        split = 0
-        for a in range(1, n):
-            for m in comp[a * n + 1:a * n + n]:
-                split |= m
+        split = _split_worlds(comp, n)
         if any(not split >> c & 1 for c in range(1, n)):
             return False
     if cfg.cross_split and not _cross_splits(comp, targets, n):
         return False
     return True
+
+
+def _split_worlds(comp, n: int) -> int:
+    """The bitmask of the worlds that are a sum of two non-empty ones."""
+    split = 0
+    for a in range(1, n):
+        for m in comp[a * n + 1:a * n + n]:
+            split |= m
+    return split
 
 
 def _cross_splits(comp, targets, n: int) -> bool:
@@ -294,6 +300,83 @@ def _first_zero(mask: int, full: int) -> Optional[int]:
     return (rest & -rest).bit_length() - 1 if rest else None
 
 
+def complete_frame(rel: FrozenSet[Triple], n: int,
+                   cfg: LogicConfig) -> FrozenSet[Triple]:
+    """rel, a commutative relation on the worlds 0..n-1, with the atoms
+    added that a frame of cfg needs and rel lacks; rel itself if it
+    lacks none.
+
+    With splittability, each non-empty world that has no non-empty
+    split gets (c, c, c).  Then, until every non-empty h1 + (h2 + h3) =
+    h4 rebrackets as (h1 + h2) + h3, the witness h6 is the first
+    non-empty element of h1 + h2 if there is one, else the first world
+    with h4 in h6 + h3, else h4, and (h1, h2, h6) and (h6, h3, h4) are
+    added in both orders.  Each atom is looked at once, rel's in sorted
+    order and then the added ones in the order they were added, in
+    every instance it makes with the atoms present by then; so each
+    instance is looked at once both its atoms are present, on a
+    composition table updated in place.  An instance that rebrackets
+    keeps doing so as the relation grows, and the relation grows only
+    inside the n^3 possible atoms, so this ends.  Whether the result is
+    a frame is left to check_conditions."""
+    comp = [0] * (n * n)
+    dec = [[] for _ in range(n)]      # dec[c]: the (a,b) with a + b = c
+    todo = sorted(rel)                # every atom, in the order it is looked at
+    for (a, b, c) in todo:
+        comp[a * n + b] |= 1 << c
+        dec[c].append((a, b))
+
+    def add(a, b, c):
+        if not comp[a * n + b] >> c & 1:
+            comp[a * n + b] |= 1 << c
+            dec[c].append((a, b))
+            todo.append((a, b, c))
+
+    if cfg.splittability:
+        split = _split_worlds(comp, n)
+        for c in range(1, n):
+            if not split >> c & 1:
+                add(c, c, c)
+
+    def rebracket(h1, h2, h3, h4):
+        m = comp[h1 * n + h2]
+        ends = 0
+        rest = m
+        while rest:
+            low = rest & -rest
+            ends |= comp[(low.bit_length() - 1) * n + h3]
+            rest ^= low
+        if ends >> h4 & 1:
+            return
+        m &= ~1
+        if m:
+            h6 = (m & -m).bit_length() - 1
+        else:
+            h6 = next((w for w in range(n) if comp[w * n + h3] >> h4 & 1), h4)
+        add(h1, h2, h6)
+        add(h2, h1, h6)
+        add(h6, h3, h4)
+        add(h3, h6, h4)
+
+    seen = 0
+    while seen < len(todo):
+        x, y, z = todo[seen]
+        seen += 1
+        if x == 0:
+            continue
+        if y != 0:    # as h2 + h3 = h5, under every h1 + h5 = h4
+            for h1 in range(1, n):
+                rest = comp[h1 * n + z]
+                while rest:
+                    low = rest & -rest
+                    rebracket(h1, x, y, low.bit_length() - 1)
+                    rest ^= low
+        for (h2, h3) in tuple(dec[y]):    # as h1 + h5 = h4, over every h2 + h3 = h5
+            if h2 != 0 and h3 != 0:
+                rebracket(x, h2, h3, z)
+    return rel.union(todo[len(rel):]) if len(todo) > len(rel) else rel
+
+
 def branch_countermodel(seq: Sequent, merge: Dict[int, int], goal: Formula,
                         cfg: LogicConfig) -> Optional[Tuple[FrameModel, int]]:
     """The finite model an open branch of goal's search describes, with a
@@ -303,11 +386,15 @@ def branch_countermodel(seq: Sequent, merge: Dict[int, int], goal: Formula,
     e is world 0, each label in merge shares the world of the label it
     maps to, and every other label of seq gets a world of its own, in
     label order.  The relation is the image of seq's atoms plus the unit
-    atoms, closed under commutativity; a variable holds at the world of
-    each unmerged label that carries it in the antecedent.  The world of
-    label 1, the goal's in an initial sequent, is tried first.  Heap
-    logics and heap goals get no model: frames here do not model the
-    heap."""
+    atoms, closed under commutativity, then completed by complete_frame:
+    merging a label into its blocker leaves compositions the branch
+    never rebracketed, and a label that never got a non-empty split
+    leaves a world without one.  A variable holds at the world of each
+    unmerged label that carries it in the antecedent.  The oracle checks
+    the completed model as it would any other: check_conditions, then
+    the goal.  The world of label 1, the goal's in an initial sequent,
+    is tried first.  Heap logics and heap goals get no model: frames
+    here do not model the heap."""
     if cfg.heap_extension or has_heap(goal):
         return None
     world = {EPS: 0}
@@ -328,7 +415,7 @@ def branch_countermodel(seq: Sequent, merge: Dict[int, int], goal: Formula,
     for (w, f) in seq.gamma:
         if f.kind == "var" and w not in merge:
             val.setdefault(f.args[0], set()).add(world[w])
-    rel = frozenset(rel)
+    rel = complete_frame(frozenset(rel), n, cfg)
     if not check_conditions(rel, n, cfg):
         return None
     model = FrameModel(n, rel, {p: frozenset(ws) for p, ws in val.items()})

@@ -16,24 +16,28 @@ The strategy works in phases on each branch:
    nothing left at all is saturated.
 
 The splittings of step 6 for splittability (S) and cross-split (CS, CSC)
-make fresh labels that the same rules split again without end.  They
-are blocked on a label that carries no formula an older label lacks
-(see _blockers).  A branch ends open, and the goal NotProved, when
-nothing is left to apply but blocked instances.  The finite model read
-off that branch, each blocked label merged into its blocker, is then
-checked by the oracle: it must be a frame of the logic in which the
-goal fails at some world.  A blocked branch without such a model is
-not an answer: its labels are unblocked and the search goes on, so
-blocking can delay a proof but never lose one.  A saturated open branch
-ends NotProved in any case, since the strategy has no choicepoints and
-so no other proof attempt; its model is attached only if the oracle
-accepts it, and a NotProved without one is a search that found no
-proof, not a checked refutation.  Every premise of
-a branching rule is searched on its own, depth first on an explicit
-stack of pending premises, so branch depth is bounded by memory and the
-limits, not by Python's recursion limit.  Short of a wall-clock limit,
-the search is deterministic: the same goal, logic and limits always
-give the same result.
+make fresh labels that the same rules split again without end.  They are
+blocked on a label that carries no formula an older label lacks (see
+_blockers).  A branch ends open, and the goal NotProved, when nothing is
+left to apply but blocked instances.  The finite model read off that
+branch, each blocked label merged into its blocker, is then completed
+and checked by the oracle (oracle.branch_countermodel).  Merging leaves
+compositions that the branch never rebracketed, and in +s a label never
+split leaves a world without a split, so the oracle first adds the atoms
+a frame needs: a split for each such world and a rebracketing witness
+for each such composition.  The completed model must be a frame of the
+logic in which the goal fails at some world; soundness rests on that
+check alone.  A blocked branch without such a model is not an answer: its
+labels are unblocked and the search goes on, so blocking can delay a
+proof but never lose one.  A saturated open branch ends NotProved in any
+case, since the strategy has no choicepoints and so no other proof
+attempt; its model is attached only if the oracle accepts it, and a
+NotProved without one is a search that found no proof, not a checked
+refutation.  Every premise of a branching rule is searched on its own,
+depth first on an explicit stack of pending premises, so branch depth is
+bounded by memory and the limits, not by Python's recursion limit.  Short
+of a wall-clock limit, the search is deterministic: the same goal, logic
+and limits always give the same result.
 """
 from __future__ import annotations
 

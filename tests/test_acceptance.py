@@ -163,6 +163,40 @@ def test_differential_soundness():
     assert ok
 
 
+def test_differential_soundness_split_logics():
+    # in bbi+s and bbi+cs the open branches are blocked or have worlds
+    # without splits, so their models are certified only once completed
+    rng = random.Random(20261018)
+    limits = SearchLimits(max_rule_apps=20000, max_rel_atoms=800)
+    t0 = time.monotonic()
+    valid = unsound = refuted = uncertified = exhausted = 0
+    for _ in range(100):
+        for logic in ("bbi+s", "bbi+cs"):
+            cfg = preset(logic)
+            f = imp(random_formula(rng, 3), random_formula(rng, 3))
+            v = prove(f, cfg, limits)
+            if isinstance(v, Valid):
+                valid += 1
+                if find_countermodel(f, cfg, 3) is not None:
+                    unsound += 1
+            elif isinstance(v, NotProved):
+                refuted += 1
+                model, world = v.countermodel or (None, None)
+                if (model is None or not check_conditions(model.rel, model.size, cfg)
+                        or satisfies(model, world, f)):
+                    uncertified += 1
+            else:
+                exhausted += 1
+    dt = time.monotonic() - t0
+    ok = unsound == 0 and uncertified == 0
+    report("differential soundness, bbi+s and bbi+cs: %s (200 formulas, %d valid, "
+           "%d contradicted, %d not proved, %d without a certified countermodel, "
+           "%d exhausted, %.0fs)"
+           % ("PASS" if ok else "FAIL", valid, unsound, refuted, uncertified,
+              exhausted, dt))
+    assert ok
+
+
 # -- per-rule soundness against enumerated frames -----------------------------
 
 def falsifiable_ext(seq, model, rho):

@@ -97,8 +97,10 @@ def test_prove_not_proved(capsys):
 
 def test_prove_countermodel_search(tmp_path, capsys):
     # the model prove prints passes check-model, false at the printed world;
-    # the bbi+s formula's search ends by blocking S
-    for formula, logic in [("a -> a * a", "bbi"), ("b -> ((~a * a) \\/ emp)", "bbi+s")]:
+    # the bbi+s formula's search ends by blocking S, the bbi+cs one's by
+    # blocking CS, on a model that completion made a frame
+    for formula, logic in [("a -> a * a", "bbi"), ("b -> ((~a * a) \\/ emp)", "bbi+s"),
+                           ("true -> (b -> ~(true * a))", "bbi+cs")]:
         code, out, _ = run(capsys, "prove", formula, "--logic", logic)
         assert code == 1
         lines = out.splitlines()

@@ -7,7 +7,7 @@ import pytest
 from pasl.config import preset
 from pasl.formula import BOT, EMP, TOP, conj, disj, imp, neg, parse, prop, show, star, wand
 from pasl.oracle import (
-    FrameModel, assignments, check_conditions, enumerate_frames,
+    FrameModel, assignments, check_conditions, complete_frame, enumerate_frames,
     find_countermodel, format_model, parse_model, satisfies,
     sequent_falsifiable,
 )
@@ -141,14 +141,8 @@ def spec_check_conditions(rel, n, cfg):
             return False
         if (b, a, c) not in rel:
             return False
-    by_out = {}
-    for t in rel:
-        by_out.setdefault(t[2], []).append(t)
-    for (h1, h5, h4) in rel:
-        for (h2, h3, _) in by_out.get(h5, ()):
-            if not any((h1, h2, h6) in rel and (h6, h3, h4) in rel
-                       for h6 in range(n)):
-                return False
+    if not spec_rebrackets(rel, n):
+        return False
     if cfg.partial_determinism:
         seen = {}
         for (a, b, c) in rel:
@@ -179,6 +173,22 @@ def spec_check_conditions(rel, n, cfg):
                            for p in range(n) for q in range(n)
                            for s in range(n) for t in range(n)):
                     return False
+    return True
+
+
+def spec_rebrackets(rel, n, nonempty=False):
+    """Does every h1 + (h2 + h3) = h4 of rel rebracket as (h1 + h2) + h3?
+    With nonempty, only those with h1, h2 and h3 non-empty."""
+    by_out = {}
+    for t in rel:
+        by_out.setdefault(t[2], []).append(t)
+    for (h1, h5, h4) in rel:
+        for (h2, h3, _) in by_out.get(h5, ()):
+            if nonempty and 0 in (h1, h2, h3):
+                continue
+            if not any((h1, h2, h6) in rel and (h6, h3, h4) in rel
+                       for h6 in range(n)):
+                return False
     return True
 
 
@@ -264,6 +274,41 @@ def test_check_conditions_rejects_worlds_outside_the_frame():
     assert check_conditions(Z2, 2, BBI)
     assert not check_conditions(Z2 | {(2, 0, 2), (0, 2, 2)}, 2, BBI)
     assert not check_conditions(Z2 | {(1, 1, -1)}, 2, BBI)
+
+
+# -- completing the model of an open branch ----------------------------------
+
+@pytest.mark.parametrize("name", LOGICS)
+def test_complete_frame_leaves_frames_unchanged(name):
+    cfg = preset(name)
+    for n in (1, 2, 3):
+        for rel in enumerate_frames(n, cfg):
+            assert complete_frame(rel, n, cfg) is rel
+
+
+def test_complete_frame_rebrackets_every_triple():
+    rng = random.Random(23)
+    completed = 0
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        cfg = rng.choice((BBI, BBI_S))
+        rel = {(a, 0, a) for a in range(n)} | {(0, a, a) for a in range(n)}
+        density = rng.choice((0.05, 0.15, 0.3))
+        for a in range(1, n):
+            for b in range(a, n):
+                for c in range(n):
+                    if rng.random() < density:
+                        rel.update({(a, b, c), (b, a, c)})
+        rel = frozenset(rel)
+        got = complete_frame(rel, n, cfg)
+        assert rel <= got
+        assert all((b, a, c) in got for (a, b, c) in got)
+        assert spec_rebrackets(got, n, nonempty=True), (sorted(rel), n)
+        if cfg.splittability:
+            for c in range(1, n):
+                assert any(t[2] == c and t[0] != 0 and t[1] != 0 for t in got)
+        completed += got != rel
+    assert completed > 100     # the sample reaches relations that need atoms
 
 
 # -- recursive specification of satisfies ------------------------------------

@@ -247,9 +247,26 @@ def test_blocked_branch_never_ends_without_a_certificate(monkeypatch):
     assert v == ResourceExhausted("relational atoms")
 
 
+@pytest.mark.parametrize("s,logic", [
+    ("~b -> (emp \\/ ((true -* a) /\\ (a /\\ emp)))", "bbi+s"),
+    ("true -> (b -> ~(true * a))", "bbi+cs"),
+    ("(((emp * a) * a) * a) -> (true -* emp)", "bbi+cs"),
+])
+def test_blocked_model_is_completed_to_a_frame(s, logic):
+    # the model of the blocked branch is a frame only once the compositions
+    # that merging left unbracketed are added; without them S or CS unrolls
+    # to the atom budget
+    goal, cfg = parse(s), preset(logic)
+    v = prove(goal, cfg, FLEET_LIMITS)
+    assert isinstance(v, NotProved)
+    assert _certified(v, goal, cfg)
+
+
 def test_saturated_branches_carry_certified_models():
+    # in bbi+s, the world of a label that was never split gets a split
     for s, logic in [("a -> a * a", "bbi"), ("(a * b) -> a", "pasl"),
-                     ("emp -> a", "bbi+cs"), ("(a -* b) -> b", "pasl+d")]:
+                     ("emp -> a", "bbi+cs"), ("(a -* b) -> b", "pasl+d"),
+                     ("true -> b", "bbi+s")]:
         goal, cfg = parse(s), preset(logic)
         v = prove(goal, cfg)
         assert isinstance(v, NotProved), s
