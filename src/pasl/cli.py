@@ -193,7 +193,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except RecursionError as e:     # a crash must not exit as a verdict
-        print("error: input nested too deeply for the recursive parser: %s"
+        print("error: input nested too deeply: %s"
               % _describe(e), file=sys.stderr)
         return EXIT_ERROR
 

@@ -200,100 +200,102 @@ _BINARY = {
 }
 
 
-class _Parser:
-    def __init__(self, toks):
-        self.toks = toks
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i][0]
-
-    def pos(self):
-        return self.toks[self.i][1]
-
-    def next(self):
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok[0]
-
-    def expect(self, tok):
-        if self.peek() != tok:
-            raise ParseError("expected %r" % tok, self.pos())
-        self.next()
-
-    def is_ident(self):
-        t = self.peek()
-        return t is not None and t not in _KEYWORDS and t[0].isalpha()
-
-    def formula(self, min_prec: int = 1) -> Formula:
-        """Precedence climbing: the longest formula whose top-level binary
-        connectives all bind at least as tightly as min_prec."""
-        left = self.unary()
-        while True:
-            op = _BINARY.get(self.peek())
-            if op is None or op[0] < min_prec:
-                return left
-            prec, right_assoc, build = op
-            self.next()
-            left = build(left, self.formula(prec if right_assoc else prec + 1))
-
-    def unary(self) -> Formula:
-        if self.peek() == "~":
-            self.next()
-            return neg(self.unary())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        t = self.peek()
-        if t == "(":
-            self.next()
-            f = self.formula()
-            self.expect(")")
-            return f
-        if t == "true":
-            self.next()
-            return TOP
-        if t == "false":
-            self.next()
-            return BOT
-        if t == "emp":
-            self.next()
-            return EMP
-        if t == "exists":
-            self.next()
-            vs = []
-            while self.is_ident():
-                vs.append(self.next())
-            if not vs:
-                raise ParseError("expected bound variable", self.pos())
-            self.expect(".")
-            body = self.formula()
-            for v in reversed(vs):
-                body = exists(v, body)
-            return body
-        if self.is_ident():
-            name = self.next()
-            if self.peek() == "|->":
-                self.next()
-                return points_to(name, self._expr())
-            if self.peek() == "=":
-                self.next()
-                return expr_eq(name, self._expr())
-            return prop(name)
-        raise ParseError("expected formula", self.pos())
-
-    def _expr(self) -> Expr:
-        if not self.is_ident():
-            raise ParseError("expected expression identifier", self.pos())
-        return self.next()
+def _is_ident(t) -> bool:
+    return t is not None and t not in _KEYWORDS and t[0].isalpha()
 
 
 def parse(s: str) -> Formula:
-    p = _Parser(_tokenize(s))
-    f = p.formula()
-    if p.peek() is not None:
-        raise ParseError("trailing input", p.pos())
-    return f
+    """The formula s denotes; ParseError if it denotes none.
+
+    Operator precedence over an explicit stack of open contexts (the top
+    level, each parenthesis and each exists body), so nesting depth is
+    bounded by memory, not by Python's recursion limit.  A context holds
+    its operands, its pending binary connectives, what closes it, and the
+    run of ~ in front of it.  An exists body, like a parenthesis, extends
+    as far as the formula goes; a connective pops the pending ones that
+    bind at least as tightly, or only tighter if it associates to the
+    right."""
+    toks = _tokenize(s)
+    i = 0
+    outer = []           # the enclosing contexts, innermost last
+    operands, ops, closer, negs = [], [], None, 0
+    while True:
+        # an operand: a run of ~, then an atom or a context that opens
+        n = 0
+        t, pos = toks[i]
+        i += 1
+        while t == "~":
+            n += 1
+            t, pos = toks[i]
+            i += 1
+        if t == "(" or t == "exists":
+            if t == "(":
+                opened = ")"
+            else:
+                opened = []      # the bound variables
+                while _is_ident(toks[i][0]):
+                    opened.append(toks[i][0])
+                    i += 1
+                if not opened:
+                    raise ParseError("expected bound variable", toks[i][1])
+                if toks[i][0] != ".":
+                    raise ParseError("expected '.'", toks[i][1])
+                i += 1
+            outer.append((operands, ops, closer, negs))
+            operands, ops, closer, negs = [], [], opened, n
+            continue
+        if t == "true":
+            f = TOP
+        elif t == "false":
+            f = BOT
+        elif t == "emp":
+            f = EMP
+        elif _is_ident(t):
+            nxt = toks[i][0]
+            if nxt == "|->" or nxt == "=":
+                e, epos = toks[i + 1]
+                if not _is_ident(e):
+                    raise ParseError("expected expression identifier", epos)
+                i += 2
+                f = points_to(t, e) if nxt == "|->" else expr_eq(t, e)
+            else:
+                f = prop(t)
+        else:
+            raise ParseError("expected formula", pos)
+        for _ in range(n):
+            f = neg(f)
+        # a connective, or the end of the contexts the operand closes
+        while True:
+            operands.append(f)
+            t, pos = toks[i]
+            op = _BINARY.get(t)
+            if op is not None:
+                prec = op[0]
+                while ops and (ops[-1][0] > prec
+                               or ops[-1][0] == prec and not op[1]):
+                    b = operands.pop()
+                    operands[-1] = ops.pop()[2](operands[-1], b)
+                ops.append(op)
+                i += 1
+                break
+            while ops:
+                b = operands.pop()
+                operands[-1] = ops.pop()[2](operands[-1], b)
+            f = operands[0]
+            if closer is None:
+                if t is not None:
+                    raise ParseError("trailing input", pos)
+                return f
+            if closer == ")":
+                if t != ")":
+                    raise ParseError("expected ')'", pos)
+                i += 1
+            else:
+                for v in reversed(closer):
+                    f = exists(v, f)
+            for _ in range(negs):
+                f = neg(f)
+            operands, ops, closer, negs = outer.pop()
 
 
 # --- printing ----------------------------------------------------------------

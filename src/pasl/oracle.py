@@ -377,6 +377,65 @@ def complete_frame(rel: FrozenSet[Triple], n: int,
     return rel.union(todo[len(rel):]) if len(todo) > len(rel) else rel
 
 
+def merge_forced_worlds(model: FrameModel,
+                        cfg: LogicConfig) -> Tuple[FrameModel, Tuple[int, ...]]:
+    """model with the worlds identified that cfg's frame conditions force
+    to be equal, and the world of the result each world of model becomes.
+
+    Until nothing more merges: with partial determinism, the results of
+    one sum; with cancellativity, b and b' when a + b and a + b' share a
+    result; with indivisible unit or disjointness, both addends of a sum
+    equal to e, and e; with disjointness, a and e when a + a is defined.
+    The merged worlds keep the order of their oldest members, e stays
+    world 0, and a merged world's valuation is the union of its members'.
+    A frame of cfg comes back unchanged."""
+    n = model.size
+    parent = list(range(n))
+
+    def find(w):
+        while parent[w] != w:
+            parent[w] = parent[parent[w]]
+            w = parent[w]
+        return w
+
+    def union(a, b):
+        a, b = find(a), find(b)
+        if a == b:
+            return False
+        parent[max(a, b)] = min(a, b)     # so e's class keeps root 0
+        return True
+
+    rel = model.rel
+    merged = True
+    while merged:
+        merged = False
+        rel = {(find(a), find(b), find(c)) for (a, b, c) in rel}
+        if cfg.indivisible_unit or cfg.disjointness:
+            for (a, b, c) in rel:
+                if c == 0 and (a or b):
+                    merged |= union(a, 0) | union(b, 0)
+        if cfg.disjointness:
+            for (a, b, c) in rel:
+                if a == b and a:
+                    merged |= union(a, 0)
+        if cfg.partial_determinism:
+            result: Dict[Tuple[int, int], int] = {}
+            for (a, b, c) in rel:
+                merged |= union(c, result.setdefault((a, b), c))
+        if cfg.cancellativity:
+            addend: Dict[Tuple[int, int], int] = {}
+            for (a, b, c) in rel:
+                merged |= union(b, addend.setdefault((a, c), b))
+    roots = sorted({find(w) for w in range(n)})
+    if len(roots) == n:
+        return model, tuple(range(n))
+    index = {r: i for i, r in enumerate(roots)}
+    to = tuple(index[find(w)] for w in range(n))
+    val = {p: frozenset(to[w] for w in ws) for p, ws in model.valuation.items()}
+    return (FrameModel(len(roots), frozenset((to[a], to[b], to[c])
+                                             for (a, b, c) in rel), val), to)
+
+
 def branch_countermodel(seq: Sequent, merge: Dict[int, int], goal: Formula,
                         cfg: LogicConfig) -> Optional[Tuple[FrameModel, int]]:
     """The finite model an open branch of goal's search describes, with a
@@ -386,15 +445,19 @@ def branch_countermodel(seq: Sequent, merge: Dict[int, int], goal: Formula,
     e is world 0, each label in merge shares the world of the label it
     maps to, and every other label of seq gets a world of its own, in
     label order.  The relation is the image of seq's atoms plus the unit
-    atoms, closed under commutativity, then completed by complete_frame:
-    merging a label into its blocker leaves compositions the branch
-    never rebracketed, and a label that never got a non-empty split
-    leaves a world without one.  A variable holds at the world of each
-    unmerged label that carries it in the antecedent.  The oracle checks
-    the completed model as it would any other: check_conditions, then
-    the goal.  The world of label 1, the goal's in an initial sequent,
-    is tried first.  Heap logics and heap goals get no model: frames
-    here do not model the heap."""
+    atoms, closed under commutativity.  A variable holds at the world of
+    each unmerged label that carries it in the antecedent.  Then
+    merge_forced_worlds identifies the worlds that partial determinism,
+    cancellativity, indivisible unit or disjointness force to be equal:
+    merging labels makes such worlds, most of all the coarse merge of a
+    branch that a structural-round cap stopped.  Then complete_frame
+    adds the atoms a frame needs: merging a label into its blocker
+    leaves compositions the branch never rebracketed, and a label that
+    never got a non-empty split leaves a world without one.  The oracle checks the completed model
+    as it would any other: check_conditions, then the goal.  The world
+    of label 1, the goal's in an initial sequent, is tried first.  Heap
+    logics and heap goals get no model: frames here do not model the
+    heap."""
     if cfg.heap_extension or has_heap(goal):
         return None
     world = {EPS: 0}
@@ -415,12 +478,16 @@ def branch_countermodel(seq: Sequent, merge: Dict[int, int], goal: Formula,
     for (w, f) in seq.gamma:
         if f.kind == "var" and w not in merge:
             val.setdefault(f.args[0], set()).add(world[w])
-    rel = complete_frame(frozenset(rel), n, cfg)
+    model, to = merge_forced_worlds(
+        FrameModel(n, frozenset(rel), {p: frozenset(ws) for p, ws in val.items()}),
+        cfg)
+    n = model.size
+    rel = complete_frame(model.rel, n, cfg)
     if not check_conditions(rel, n, cfg):
         return None
-    model = FrameModel(n, rel, {p: frozenset(ws) for p, ws in val.items()})
+    model = FrameModel(n, rel, model.valuation)
     holds = _truth(model, goal)
-    first = world.get(1, 0)
+    first = to[world.get(1, 0)]
     if not holds >> first & 1:
         return model, first
     h = _first_zero(holds, (1 << n) - 1)

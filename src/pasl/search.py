@@ -29,15 +29,23 @@ for each such composition.  The completed model must be a frame of the
 logic in which the goal fails at some world; soundness rests on that
 check alone.  A blocked branch without such a model is not an answer: its
 labels are unblocked and the search goes on, so blocking can delay a
-proof but never lose one.  A saturated open branch ends NotProved in any
-case, since the strategy has no choicepoints and so no other proof
-attempt; its model is attached only if the oracle accepts it, and a
-NotProved without one is a search that found no proof, not a checked
-refutation.  Every premise of a branching rule is searched on its own,
-depth first on an explicit stack of pending premises, so branch depth is
-bounded by memory and the limits, not by Python's recursion limit.  Short
-of a wall-clock limit, the search is deterministic: the same goal, logic
-and limits always give the same result.
+proof but never lose one.  A branch that a structural-round cap stopped,
+in any logic, gets one such attempt before the next cap re-runs the
+search from the root: its model merges each label into the oldest label
+that carries all of its formulas, and the goal ends NotProved if the
+oracle certifies that model, while without one the cap is exhausted as
+before.  Merging labels makes worlds that partial determinism,
+cancellativity, indivisible unit or disjointness force to be one, so
+the oracle first identifies them (oracle.merge_forced_worlds).  A
+saturated open branch ends NotProved in any case, since the strategy
+has no choicepoints and so no other proof attempt; its model is
+attached only if the oracle accepts it, and a NotProved without one is
+a search that found no proof, not a checked refutation.  Every premise
+of a branching rule is searched on its own, depth first on an explicit
+stack of pending premises, so branch depth is bounded by memory and the
+limits, not by Python's recursion limit.  Short of a wall-clock limit,
+the search is deterministic: the same goal, logic and limits always
+give the same result.
 """
 from __future__ import annotations
 
@@ -430,22 +438,24 @@ class Prover:
 
     # -- blocking and the model of an open branch -----------------------------
 
-    def _blockers(self, seq: Sequent) -> Dict[int, int]:
+    def _blockers(self, seq: Sequent, cap_end: bool = False) -> Dict[int, int]:
         """Each blocked label of seq, mapped to its smallest blocker.
 
         A label w other than e is blocked by an older label b, b < w and
         b other than e, that carries every antecedent and succedent formula
         w carries; with splittability, b != e must also be on the branch.
         Only S, CS and CSC make labels without end, so other logics block
-        nothing."""
-        if not (self.cfg.splittability or self.cfg.cross_split):
+        nothing.  With cap_end, the merge of a branch that a structural-
+        round cap stopped, every logic merges this way and b need not be
+        != e on the branch."""
+        if not (cap_end or self.cfg.splittability or self.cfg.cross_split):
             return {}
         carried: Dict[int, Tuple[set, set]] = {}
         for (w, f) in seq.gamma:
             carried.setdefault(w, (set(), set()))[0].add(f)
         for (w, f) in seq.delta:
             carried.setdefault(w, (set(), set()))[1].add(f)
-        if self.cfg.splittability:
+        if self.cfg.splittability and not cap_end:
             olders = [x for (x, y) in seq.ineq if y == EPS and x != EPS]
         else:
             olders = [w for w in seq.labels if w != EPS]
@@ -474,8 +484,9 @@ class Prover:
         """The NotProved that seq ends with, when nothing is left to apply
         to it but blocked instances; or None, and the memo that unblocks
         every blocked label, when blocking stopped it and its model is not
-        certified.  Raises _Exhausted when the round cap left seq
-        unsaturated.
+        certified.  When the round cap left seq unsaturated, the NotProved
+        of a certified model of the coarser cap-end merge, else raises
+        _Exhausted.
 
         The model merges every blocked label into its blocker, unblocked
         ones too, so it has a world per kind of label, not per label."""
@@ -489,6 +500,9 @@ class Prover:
             return None, memo.union(("unblock", w) for w in blocked)
         if rounds < self.round_cap:
             return NotProved(seq, self._countermodel(seq, merge)), memo
+        model = self._countermodel(seq, self._blockers(seq, cap_end=True))
+        if model is not None:
+            return NotProved(seq, model), memo
         raise _Exhausted("structural rounds")
 
     def _countermodel(self, seq: Sequent, merge: Dict[int, int]):

@@ -153,10 +153,21 @@ def test_error_exits(capsys):
 
 
 def test_deep_nesting_exits_as_error(capsys):
-    # the recursive parser runs out of stack: an error, not a verdict
-    code, out, err = run(capsys, "prove", "~" * 3000 + "a")
+    # the heap formulas' free expressions are still found by recursion,
+    # which runs out of stack here: an error, not a verdict
+    code, out, err = run(capsys, "prove", "exists x. " + "~" * 3000 + "(x |-> y)",
+                         "--logic", "separata+")
     assert code == 3 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_deep_nesting_is_decided(capsys):
+    # the parser needs no recursion: long runs of ~ and parentheses get
+    # a verdict
+    code, out, _ = run(capsys, "prove", "~" * 5000 + "a")
+    assert code == 1 and out.startswith("NotProved")
+    code, out, _ = run(capsys, "prove", "(" * 3000 + "a -> a" + ")" * 3000)
+    assert code == 0 and out.startswith("Valid")
 
 
 def test_bench_ok_and_mismatch(tmp_path, capsys):

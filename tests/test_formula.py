@@ -107,6 +107,21 @@ def test_show_deep_nesting():
     assert repr(f).startswith("Formula(~~~")
 
 
+def test_parse_deep_nesting():
+    # parsing needs no recursion either: runs of ~, parentheses and
+    # exists bodies far past Python's recursion limit
+    f = parse("~" * 5000 + "a")
+    assert size(f) == 5001 and show(f) == "~" * 5000 + "a"
+    assert parse("(" * 3000 + "a * b" + ")" * 3000) is star(prop("a"), prop("b"))
+    g = parse("~(" * 2000 + "a -> b" + ")" * 2000 + " /\\ b")
+    assert g.kind == "and" and size(g) == 2000 + 5
+    h = parse("exists x. " * 2000 + "(x |-> y)")
+    assert size(h) == 2001 and h.args[0] == "x"
+    with pytest.raises(ParseError) as err:
+        parse("(" * 3000 + "a" + ")" * 2999)
+    assert str(err.value) == "expected ')' (at position 6000)"
+
+
 def test_size_and_subformulae():
     f = parse("(a * b) -> a")
     assert size(f) == 5

@@ -262,6 +262,35 @@ def test_blocked_model_is_completed_to_a_frame(s, logic):
     assert _certified(v, goal, cfg)
 
 
+@pytest.mark.parametrize("s,logic", [
+    ("((~false * true) /\\ (emp /\\ a)) -> b", "pasl"),
+    ("~((b * b) -* ~a) -> (((a -* a) -* ~emp) /\\ false)", "bbi"),
+    ("(((false \\/ b) * (true /\\ b)) /\\ emp) -> (emp -* ~(b -> emp))", "bbi+c"),
+    ("(((emp -> b) /\\ (a * b)) \\/ ((a -* false) * true)) -> "
+     "(~~emp -> ((true -* emp) -> (false * a)))", "bbi+p"),
+    ("(((true -> b) * (a * b)) * (true -* (false -* true))) -> "
+     "(((false * true) -> (true * false)) * ((emp -* emp) -> (b -* emp)))", "bbi+iu"),
+    ("(((b \\/ b) * (a /\\ true)) * b) -> "
+     "((~false * (a /\\ b)) -> ((emp -> false) * (emp /\\ emp)))", "bbi+s"),
+])
+def test_round_cap_ends_with_a_certified_model(s, logic):
+    # structural rounds would grow these branches to the atom budget, cap
+    # after cap; the model read off the branch at the end of a cap, with
+    # the worlds that the logic forces equal merged, is certified instead
+    goal, cfg = parse(s), preset(logic)
+    v = prove(goal, cfg, FLEET_LIMITS)
+    assert isinstance(v, NotProved)
+    assert _certified(v, goal, cfg)
+
+
+def test_round_cap_without_a_model_still_exhausts(monkeypatch):
+    # with every frame rejected, each cap ends as it did without the
+    # attempt, and the deeper caps run to the atom budget
+    monkeypatch.setattr(oracle, "check_conditions", lambda rel, n, cfg: False)
+    v = prove(parse("((~false * true) /\\ (emp /\\ a)) -> b"), PASL, FLEET_LIMITS)
+    assert v == ResourceExhausted("relational atoms")
+
+
 def test_saturated_branches_carry_certified_models():
     # in bbi+s, the world of a label that was never split gets a split
     for s, logic in [("a -> a * a", "bbi"), ("(a * b) -> a", "pasl"),
