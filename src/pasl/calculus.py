@@ -60,7 +60,6 @@ class Rule(Enum):
     # structural rules
     E = "E"
     A = "A"
-    A_C = "AC"
     U = "U"
     S = "S"
     CS = "CS"
@@ -362,11 +361,6 @@ def expand(seq: Sequent, inst: RuleInstance, cfg: LogicConfig) -> Tuple[Sequent,
         _need(x == x2, "A needs chained atoms")
         (w,) = inst.fresh
         return (seq.extend(rel=[(u, w, z), (y, v, w)]),)
-    if r is Rule.A_C:
-        ((x, y, z),) = inst.principal_rels
-        _need(x == z, "AC needs an idempotent-shaped atom")
-        (w,) = inst.fresh
-        return (seq.extend(rel=[(x, w, x), (y, y, w)]),)
     if r is Rule.U:
         (w,) = inst.labels
         _need(w in seq.labels, "U label must occur")

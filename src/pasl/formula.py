@@ -127,35 +127,47 @@ def has_heap(f: Formula) -> bool:
 def free_exprs(f: Formula) -> frozenset:
     """Free expression identifiers of heap atoms, minus bound variables."""
     out = set()
-
-    def go(g: Formula, bound: frozenset) -> None:
+    stack = [(f, frozenset())]
+    while stack:
+        g, bound = stack.pop()
         if g.kind in ("mapsto", "eq"):
             out.update(e for e in g.args if e not in bound)
         elif g.kind == "exists":
-            go(g.args[1], bound | {g.args[0]})
+            stack.append((g.args[1], bound | {g.args[0]}))
         elif g.kind not in ("var", "top", "bot", "emp"):
-            for a in g.args:
-                go(a, bound)
-
-    go(f, frozenset())
+            stack.extend((a, bound) for a in g.args)
     return frozenset(out)
 
 
 def subst_expr(f: Formula, frm: Expr, to: Expr) -> Formula:
-    """Replace free occurrences of expression frm by to."""
+    """Replace free occurrences of expression frm by to.  Each distinct
+    subformula is rebuilt once, children before parents, on an explicit
+    stack; a subformula's image does not depend on where it occurs, since
+    an exists binding frm is left as it is."""
     if frm == to:
         return f
-    if f.kind in ("mapsto", "eq"):
-        e1, e2 = f.args
-        return Formula(f.kind, (to if e1 == frm else e1, to if e2 == frm else e2))
-    if f.kind == "exists":
-        v, body = f.args
-        if v == frm:
-            return f
-        return Formula("exists", (v, subst_expr(body, frm, to)))
-    if f.kind in ("var", "top", "bot", "emp"):
-        return f
-    return Formula(f.kind, tuple(subst_expr(a, frm, to) for a in f.args))
+    done: Dict[Formula, Formula] = {}
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if g in done:
+            stack.pop()
+            continue
+        k = g.kind
+        if k in ("mapsto", "eq"):
+            e1, e2 = g.args
+            done[g] = Formula(k, (to if e1 == frm else e1, to if e2 == frm else e2))
+        elif k in ("var", "top", "bot", "emp") or k == "exists" and g.args[0] == frm:
+            done[g] = g
+        else:
+            todo = [a for a in g.args if isinstance(a, Formula) and a not in done]
+            if todo:
+                stack.extend(todo)
+                continue
+            done[g] = Formula(k, tuple(done[a] if isinstance(a, Formula) else a
+                                       for a in g.args))
+        stack.pop()
+    return done[f]
 
 
 # --- parsing -----------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""Finite-model semantics: evaluation, frame enumeration, countermodels.
+"""Finite-model semantics: evaluation, frame conditions, frame
+enumeration, countermodel search.
 
 A frame is a finite set of worlds {0..n-1} with 0 as the empty world and
 a ternary composition relation; (a,b,c) in rel means a and b combine to
-c.  This module is independent of the proof rules so the two can be
-checked against each other.
+c.  This module is the checker that soundness rests on.  It is
+independent of the proof rules, so the two can be checked against each
+other: the model of an open branch is built in pasl.countermodel, which
+may use the rules, and is certified here.
 """
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, Optional, Tuple
 
 from .config import LogicConfig
-from .formula import Formula, has_heap, prop_names
+from .formula import Formula, prop_names
 from .sequent import EPS, Sequent
 
 Triple = Tuple[int, int, int]
@@ -298,200 +301,6 @@ def _first_zero(mask: int, full: int) -> Optional[int]:
     """The smallest world of full that mask leaves out, or None."""
     rest = full & ~mask
     return (rest & -rest).bit_length() - 1 if rest else None
-
-
-def complete_frame(rel: FrozenSet[Triple], n: int,
-                   cfg: LogicConfig) -> FrozenSet[Triple]:
-    """rel, a commutative relation on the worlds 0..n-1, with the atoms
-    added that a frame of cfg needs and rel lacks; rel itself if it
-    lacks none.
-
-    With splittability, each non-empty world that has no non-empty
-    split gets (c, c, c).  Then, until every non-empty h1 + (h2 + h3) =
-    h4 rebrackets as (h1 + h2) + h3, the witness h6 is the first
-    non-empty element of h1 + h2 if there is one, else the first world
-    with h4 in h6 + h3, else h4, and (h1, h2, h6) and (h6, h3, h4) are
-    added in both orders.  Each atom is looked at once, rel's in sorted
-    order and then the added ones in the order they were added, in
-    every instance it makes with the atoms present by then; so each
-    instance is looked at once both its atoms are present, on a
-    composition table updated in place.  An instance that rebrackets
-    keeps doing so as the relation grows, and the relation grows only
-    inside the n^3 possible atoms, so this ends.  Whether the result is
-    a frame is left to check_conditions."""
-    comp = [0] * (n * n)
-    dec = [[] for _ in range(n)]      # dec[c]: the (a,b) with a + b = c
-    todo = sorted(rel)                # every atom, in the order it is looked at
-    for (a, b, c) in todo:
-        comp[a * n + b] |= 1 << c
-        dec[c].append((a, b))
-
-    def add(a, b, c):
-        if not comp[a * n + b] >> c & 1:
-            comp[a * n + b] |= 1 << c
-            dec[c].append((a, b))
-            todo.append((a, b, c))
-
-    if cfg.splittability:
-        split = _split_worlds(comp, n)
-        for c in range(1, n):
-            if not split >> c & 1:
-                add(c, c, c)
-
-    def rebracket(h1, h2, h3, h4):
-        m = comp[h1 * n + h2]
-        ends = 0
-        rest = m
-        while rest:
-            low = rest & -rest
-            ends |= comp[(low.bit_length() - 1) * n + h3]
-            rest ^= low
-        if ends >> h4 & 1:
-            return
-        m &= ~1
-        if m:
-            h6 = (m & -m).bit_length() - 1
-        else:
-            h6 = next((w for w in range(n) if comp[w * n + h3] >> h4 & 1), h4)
-        add(h1, h2, h6)
-        add(h2, h1, h6)
-        add(h6, h3, h4)
-        add(h3, h6, h4)
-
-    seen = 0
-    while seen < len(todo):
-        x, y, z = todo[seen]
-        seen += 1
-        if x == 0:
-            continue
-        if y != 0:    # as h2 + h3 = h5, under every h1 + h5 = h4
-            for h1 in range(1, n):
-                rest = comp[h1 * n + z]
-                while rest:
-                    low = rest & -rest
-                    rebracket(h1, x, y, low.bit_length() - 1)
-                    rest ^= low
-        for (h2, h3) in tuple(dec[y]):    # as h1 + h5 = h4, over every h2 + h3 = h5
-            if h2 != 0 and h3 != 0:
-                rebracket(x, h2, h3, z)
-    return rel.union(todo[len(rel):]) if len(todo) > len(rel) else rel
-
-
-def merge_forced_worlds(model: FrameModel,
-                        cfg: LogicConfig) -> Tuple[FrameModel, Tuple[int, ...]]:
-    """model with the worlds identified that cfg's frame conditions force
-    to be equal, and the world of the result each world of model becomes.
-
-    Until nothing more merges: with partial determinism, the results of
-    one sum; with cancellativity, b and b' when a + b and a + b' share a
-    result; with indivisible unit or disjointness, both addends of a sum
-    equal to e, and e; with disjointness, a and e when a + a is defined.
-    The merged worlds keep the order of their oldest members, e stays
-    world 0, and a merged world's valuation is the union of its members'.
-    A frame of cfg comes back unchanged."""
-    n = model.size
-    parent = list(range(n))
-
-    def find(w):
-        while parent[w] != w:
-            parent[w] = parent[parent[w]]
-            w = parent[w]
-        return w
-
-    def union(a, b):
-        a, b = find(a), find(b)
-        if a == b:
-            return False
-        parent[max(a, b)] = min(a, b)     # so e's class keeps root 0
-        return True
-
-    rel = model.rel
-    merged = True
-    while merged:
-        merged = False
-        rel = {(find(a), find(b), find(c)) for (a, b, c) in rel}
-        if cfg.indivisible_unit or cfg.disjointness:
-            for (a, b, c) in rel:
-                if c == 0 and (a or b):
-                    merged |= union(a, 0) | union(b, 0)
-        if cfg.disjointness:
-            for (a, b, c) in rel:
-                if a == b and a:
-                    merged |= union(a, 0)
-        if cfg.partial_determinism:
-            result: Dict[Tuple[int, int], int] = {}
-            for (a, b, c) in rel:
-                merged |= union(c, result.setdefault((a, b), c))
-        if cfg.cancellativity:
-            addend: Dict[Tuple[int, int], int] = {}
-            for (a, b, c) in rel:
-                merged |= union(b, addend.setdefault((a, c), b))
-    roots = sorted({find(w) for w in range(n)})
-    if len(roots) == n:
-        return model, tuple(range(n))
-    index = {r: i for i, r in enumerate(roots)}
-    to = tuple(index[find(w)] for w in range(n))
-    val = {p: frozenset(to[w] for w in ws) for p, ws in model.valuation.items()}
-    return (FrameModel(len(roots), frozenset((to[a], to[b], to[c])
-                                             for (a, b, c) in rel), val), to)
-
-
-def branch_countermodel(seq: Sequent, merge: Dict[int, int], goal: Formula,
-                        cfg: LogicConfig) -> Optional[Tuple[FrameModel, int]]:
-    """The finite model an open branch of goal's search describes, with a
-    world where goal fails, if that model is a frame of cfg; None
-    otherwise.
-
-    e is world 0, each label in merge shares the world of the label it
-    maps to, and every other label of seq gets a world of its own, in
-    label order.  The relation is the image of seq's atoms plus the unit
-    atoms, closed under commutativity.  A variable holds at the world of
-    each unmerged label that carries it in the antecedent.  Then
-    merge_forced_worlds identifies the worlds that partial determinism,
-    cancellativity, indivisible unit or disjointness force to be equal:
-    merging labels makes such worlds, most of all the coarse merge of a
-    branch that a structural-round cap stopped.  Then complete_frame
-    adds the atoms a frame needs: merging a label into its blocker
-    leaves compositions the branch never rebracketed, and a label that
-    never got a non-empty split leaves a world without one.  The oracle checks the completed model
-    as it would any other: check_conditions, then the goal.  The world
-    of label 1, the goal's in an initial sequent, is tried first.  Heap
-    logics and heap goals get no model: frames here do not model the
-    heap."""
-    if cfg.heap_extension or has_heap(goal):
-        return None
-    world = {EPS: 0}
-    for w in sorted(seq.labels):
-        if w != EPS and w not in merge:
-            world[w] = len(world)
-    n = len(world)
-    for w, b in merge.items():
-        world[w] = world[b]
-    rel = set()
-    for (x, y, z) in seq.rel:
-        rel.add((world[x], world[y], world[z]))
-        rel.add((world[y], world[x], world[z]))
-    for w in range(n):
-        rel.add((w, 0, w))
-        rel.add((0, w, w))
-    val: Dict[str, set] = {}
-    for (w, f) in seq.gamma:
-        if f.kind == "var" and w not in merge:
-            val.setdefault(f.args[0], set()).add(world[w])
-    model, to = merge_forced_worlds(
-        FrameModel(n, frozenset(rel), {p: frozenset(ws) for p, ws in val.items()}),
-        cfg)
-    n = model.size
-    rel = complete_frame(model.rel, n, cfg)
-    if not check_conditions(rel, n, cfg):
-        return None
-    model = FrameModel(n, rel, model.valuation)
-    holds = _truth(model, goal)
-    first = to[world.get(1, 0)]
-    if not holds >> first & 1:
-        return model, first
-    h = _first_zero(holds, (1 << n) - 1)
-    return None if h is None else (model, h)
 
 
 def assignments(labels, model: FrameModel) -> Iterator[Dict[int, int]]:

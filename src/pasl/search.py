@@ -20,32 +20,33 @@ make fresh labels that the same rules split again without end.  They are
 blocked on a label that carries no formula an older label lacks (see
 _blockers).  A branch ends open, and the goal NotProved, when nothing is
 left to apply but blocked instances.  The finite model read off that
-branch, each blocked label merged into its blocker, is then completed
-and checked by the oracle (oracle.branch_countermodel).  Merging leaves
-compositions that the branch never rebracketed, and in +s a label never
-split leaves a world without a split, so the oracle first adds the atoms
-a frame needs: a split for each such world and a rebracketing witness
-for each such composition.  The completed model must be a frame of the
-logic in which the goal fails at some world; soundness rests on that
-check alone.  A blocked branch without such a model is not an answer: its
-labels are unblocked and the search goes on, so blocking can delay a
-proof but never lose one.  A branch that a structural-round cap stopped,
-in any logic, gets one such attempt before the next cap re-runs the
-search from the root: its model merges each label into the oldest label
-that carries all of its formulas, and the goal ends NotProved if the
-oracle certifies that model, while without one the cap is exhausted as
-before.  Merging labels makes worlds that partial determinism,
-cancellativity, indivisible unit or disjointness force to be one, so
-the oracle first identifies them (oracle.merge_forced_worlds).  A
-saturated open branch ends NotProved in any case, since the strategy
-has no choicepoints and so no other proof attempt; its model is
-attached only if the oracle accepts it, and a NotProved without one is
-a search that found no proof, not a checked refutation.  Every premise
-of a branching rule is searched on its own, depth first on an explicit
-stack of pending premises, so branch depth is bounded by memory and the
-limits, not by Python's recursion limit.  Short of a wall-clock limit,
-the search is deterministic: the same goal, logic and limits always
-give the same result.
+branch, each blocked label merged into its blocker, is then built by
+countermodel.branch_countermodel and checked by the oracle.  Merging
+labels makes labels that partial determinism, cancellativity,
+indivisible unit or disjointness force to be one, so the builder first
+normalizes the merged branch with the search's own label substitutions
+(unify.find_redex).  Merging also leaves compositions that the branch
+never rebracketed, and in +s a label never split leaves a world without
+a split, so the builder then adds the atoms a frame needs: a split for
+each such world and a rebracketing witness for each such composition.
+The completed model must be a frame of the logic in which the goal
+fails at some world; soundness rests on the oracle's check alone.  A
+blocked branch without such a model is not an answer: its labels are
+unblocked and the search goes on, so blocking can delay a proof but
+never lose one.  A branch that a structural-round cap stopped, in any
+logic, gets one such attempt before the next cap re-runs the search
+from the root: its model merges each label into the oldest label that
+carries all of its formulas, and the goal ends NotProved if the oracle
+certifies that model, while without one the cap is exhausted as
+before.  A saturated open branch ends NotProved in any case, since the
+strategy has no choicepoints and so no other proof attempt; its model
+is attached only if the oracle accepts it, and a NotProved without one
+is a search that found no proof, not a checked refutation.  Every
+premise of a branching rule is searched on its own, depth first on an
+explicit stack of pending premises, so branch depth is bounded by
+memory and the limits, not by Python's recursion limit.  Short of a
+wall-clock limit, the search is deterministic: the same goal, logic and
+limits always give the same result.
 """
 from __future__ import annotations
 
@@ -58,7 +59,8 @@ from .calculus import (Derivation, Rule, RuleInstance, check, closures,
 from .config import ConfigError, LogicConfig
 from .formula import EMP, Formula, has_heap, subformulae, subst_expr
 from .heap import find_heap_redex, fresh_expr_name, witnesses
-from .oracle import FrameModel, branch_countermodel
+from .countermodel import branch_countermodel
+from .oracle import FrameModel
 from .sequent import EPS, Sequent, initial_sequent
 from .unify import find_redex
 

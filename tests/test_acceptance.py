@@ -414,29 +414,20 @@ def gen_a(rng):
     cfg = preset("bbi")
     model = random_model(rng, cfg)
     rho = {EPS: 0}
-    pair = _chain_pair(rng, model, rho)
-    if pair is None:
-        return None
+    if rng.random() < 0.25:
+        # the self-pair (x, y |> x) twice over: A adds (x, w |> x) and (y, y |> w)
+        fixed = [t for t in sorted(model.rel) if t[0] == t[2]]
+        (hx, hy, _) = fixed[rng.randrange(len(fixed))]
+        rho.update({1: hx, 2: hy})
+        pair = ((1, 2, 1), (1, 2, 1))
+    else:
+        pair = _chain_pair(rng, model, rho)
+        if pair is None:
+            return None
     _, atoms, gamma, delta = scaffold(rng, model, ())
-    atoms += list(pair)
+    atoms += list(dict.fromkeys(pair))
     seq = Sequent(tuple(atoms), (), tuple(gamma), tuple(delta))
     inst = RuleInstance(Rule.A, principal_rels=pair, fresh=(seq.fresh_label(),))
-    return cfg, seq, inst, model, rho
-
-
-def gen_a_c(rng):
-    cfg = preset("bbi")
-    model = random_model(rng, cfg)
-    fixed = [t for t in model.rel if t[0] == t[2]]
-    if not fixed:
-        return None
-    (hx, hy, _) = fixed[rng.randrange(len(fixed))]
-    rho = {EPS: 0, 1: hx, 2: hy}
-    _, atoms, gamma, delta = scaffold(rng, model, ())
-    atoms.append((1, 2, 1))
-    seq = Sequent(tuple(atoms), (), tuple(gamma), tuple(delta))
-    inst = RuleInstance(Rule.A_C, principal_rels=((1, 2, 1),),
-                        fresh=(seq.fresh_label(),))
     return cfg, seq, inst, model, rho
 
 
@@ -579,7 +570,6 @@ RULE_GENERATORS = {
     Rule.D: gen_subst(Rule.D, "bbi+d"),
     Rule.E: gen_e,
     Rule.A: gen_a,
-    Rule.A_C: gen_a_c,
     Rule.U: gen_u,
     Rule.EM: gen_em,
     Rule.S: gen_s,

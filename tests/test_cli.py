@@ -1,7 +1,7 @@
 """Command line interface."""
 import pytest
 
-from pasl import cli, oracle
+from pasl import cli, countermodel
 from pasl.cli import load_corpus, main
 from pasl.config import preset
 from pasl.formula import parse
@@ -116,7 +116,7 @@ def test_prove_countermodel_search(tmp_path, capsys):
 
 
 def test_prove_reports_an_uncertified_open_branch(capsys, monkeypatch):
-    monkeypatch.setattr(oracle, "check_conditions", lambda rel, n, cfg: False)
+    monkeypatch.setattr(countermodel, "check_conditions", lambda rel, n, cfg: False)
     code, out, _ = run(capsys, "prove", "a -> a * a")
     assert code == 1
     assert out.splitlines()[2] == "countermodel: none certified from the open branch"
@@ -152,21 +152,29 @@ def test_error_exits(capsys):
     assert code == 3
 
 
-def test_deep_nesting_exits_as_error(capsys):
-    # the heap formulas' free expressions are still found by recursion,
-    # which runs out of stack here: an error, not a verdict
-    code, out, err = run(capsys, "prove", "exists x. " + "~" * 3000 + "(x |-> y)",
-                         "--logic", "separata+")
+def test_deep_nesting_exits_as_error(capsys, monkeypatch):
+    # a search that runs out of stack is an error, not a verdict
+    def too_deep(goal, cfg, limits):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "prove", too_deep)
+    code, out, err = run(capsys, "prove", "a -> a")
     assert code == 3 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "in too_deep]" in err
 
 
 def test_deep_nesting_is_decided(capsys):
-    # the parser needs no recursion: long runs of ~ and parentheses get
-    # a verdict
+    # the parser and the formula walkers need no recursion: long runs of
+    # ~ and parentheses, and a heap formula under 3,000 ~, get a verdict
     code, out, _ = run(capsys, "prove", "~" * 5000 + "a")
     assert code == 1 and out.startswith("NotProved")
     code, out, _ = run(capsys, "prove", "(" * 3000 + "a -> a" + ")" * 3000)
+    assert code == 0 and out.startswith("Valid")
+    f = "exists x. " + "~" * 3000 + "(x |-> y)"
+    code, out, _ = run(capsys, "prove", f, "--logic", "separata+")
+    assert code == 1 and out.startswith("NotProved")
+    code, out, _ = run(capsys, "prove", "(%s) -> (%s)" % (f, f), "--logic", "separata+")
     assert code == 0 and out.startswith("Valid")
 
 

@@ -146,6 +146,18 @@ def test_subst_expr_avoids_capture():
     assert subst_expr(f, "y", "w") is parse("exists x. x |-> w")
     # bound occurrences are left alone
     assert subst_expr(f, "x", "w") is f
+    # a binder shadows only its own body
+    g = parse("(x = y) /\\ exists y. y |-> x")
+    assert subst_expr(g, "y", "w") is parse("(x = w) /\\ exists y. y |-> x")
+    assert subst_expr(g, "x", "w") is parse("(w = y) /\\ exists y. y |-> w")
+
+
+def test_heap_walkers_deep_nesting():
+    # free expressions and substitution need no recursion either
+    f = parse("exists x. " + "~" * 3000 + "(x |-> y) /\\ " * 1500 + "(y = z)")
+    assert free_exprs(f) == {"y", "z"}
+    assert subst_expr(f, "y", "w") is parse(
+        "exists x. " + "~" * 3000 + "(x |-> w) /\\ " * 1500 + "(w = z)")
 
 
 # input, message, position: each kind of error the parser reports

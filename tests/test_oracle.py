@@ -1,15 +1,17 @@
 """Finite-model semantics, used as an independent check on the prover."""
+import ast
 import itertools
+import pathlib
 import random
 
 import pytest
 
+from pasl import oracle
 from pasl.config import preset
 from pasl.formula import BOT, EMP, TOP, conj, disj, imp, neg, parse, prop, show, star, wand
 from pasl.oracle import (
-    FrameModel, assignments, check_conditions, complete_frame, enumerate_frames,
-    find_countermodel, format_model, merge_forced_worlds, parse_model, satisfies,
-    sequent_falsifiable,
+    FrameModel, assignments, check_conditions, enumerate_frames, find_countermodel,
+    format_model, parse_model, satisfies, sequent_falsifiable,
 )
 from pasl.sequent import EPS, Sequent
 
@@ -276,91 +278,21 @@ def test_check_conditions_rejects_worlds_outside_the_frame():
     assert not check_conditions(Z2 | {(1, 1, -1)}, 2, BBI)
 
 
-# -- completing the model of an open branch ----------------------------------
+# -- independence of the checker --------------------------------------------
 
-@pytest.mark.parametrize("name", LOGICS)
-def test_complete_frame_leaves_frames_unchanged(name):
-    cfg = preset(name)
-    for n in (1, 2, 3):
-        for rel in enumerate_frames(n, cfg):
-            assert complete_frame(rel, n, cfg) is rel
-
-
-def test_complete_frame_rebrackets_every_triple():
-    rng = random.Random(23)
-    completed = 0
-    for _ in range(400):
-        n = rng.randint(1, 6)
-        cfg = rng.choice((BBI, BBI_S))
-        rel = {(a, 0, a) for a in range(n)} | {(0, a, a) for a in range(n)}
-        density = rng.choice((0.05, 0.15, 0.3))
-        for a in range(1, n):
-            for b in range(a, n):
-                for c in range(n):
-                    if rng.random() < density:
-                        rel.update({(a, b, c), (b, a, c)})
-        rel = frozenset(rel)
-        got = complete_frame(rel, n, cfg)
-        assert rel <= got
-        assert all((b, a, c) in got for (a, b, c) in got)
-        assert spec_rebrackets(got, n, nonempty=True), (sorted(rel), n)
-        if cfg.splittability:
-            for c in range(1, n):
-                assert any(t[2] == c and t[0] != 0 and t[1] != 0 for t in got)
-        completed += got != rel
-    assert completed > 100     # the sample reaches relations that need atoms
-
-
-# -- identifying the worlds a logic forces to be equal -----------------------
-
-UNIT3 = frozenset({(a, 0, a) for a in range(3)} | {(0, a, a) for a in range(3)})
-
-
-@pytest.mark.parametrize("name", LOGICS)
-def test_merge_forced_worlds_leaves_frames_unchanged(name):
-    cfg = preset(name)
-    for n in (1, 2, 3):
-        for rel in enumerate_frames(n, cfg):
-            model = FrameModel(n, rel, {"a": frozenset({n - 1})})
-            assert merge_forced_worlds(model, cfg) == (model, tuple(range(n)))
-
-
-def test_merge_forced_worlds_merges_the_results_of_one_sum():
-    # 1 + 1 is both 1 and 2: one world under partial determinism, and
-    # only there; a holds at 1, b at 2, and both at the merged world
-    rel = UNIT3 | {(1, 1, 1), (1, 1, 2)}
-    model = FrameModel(3, rel, {"a": frozenset({1}), "b": frozenset({2})})
-    got, to = merge_forced_worlds(model, preset("bbi+p"))
-    assert to == (0, 1, 1)
-    assert got.size == 2
-    assert got.rel == frozenset({(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1)})
-    assert got.valuation == {"a": frozenset({1}), "b": frozenset({1})}
-    assert merge_forced_worlds(model, BBI) == (model, (0, 1, 2))
-
-
-def test_merge_forced_worlds_merges_addends_under_cancellativity():
-    # 1 + 1 and 1 + 2 are both 3, so 1 and 2 are one world
-    rel = (frozenset({(a, 0, a) for a in range(4)} | {(0, a, a) for a in range(4)})
-           | {(1, 1, 3), (1, 2, 3), (2, 1, 3)})
-    got, to = merge_forced_worlds(FrameModel(4, rel, {}), preset("bbi+c"))
-    assert to == (0, 1, 1, 2)
-    assert got.rel == UNIT3 | {(1, 1, 2)}
-
-
-def test_merge_forced_worlds_merges_addends_of_e_into_e():
-    # 1 + 2 = e: with an indivisible unit both are e; world 3 stays, and
-    # the valuations of the merged worlds are united
-    rel = (frozenset({(a, 0, a) for a in range(4)} | {(0, a, a) for a in range(4)})
-           | {(1, 2, 0), (2, 1, 0)})
-    model = FrameModel(4, rel, {"a": frozenset({1, 3}), "b": frozenset({2})})
-    got, to = merge_forced_worlds(model, BBI_IU)
-    assert to == (0, 0, 0, 1)
-    assert got == FrameModel(2, frozenset({(0, 0, 0), (0, 1, 1), (1, 0, 1)}),
-                             {"a": frozenset({0, 1}), "b": frozenset({0})})
-    # disjointness also makes a world that is added to itself e
-    model = FrameModel(3, UNIT3 | {(1, 1, 2)}, {})
-    assert merge_forced_worlds(model, preset("bbi+d"))[1] == (0, 0, 1)
-    assert merge_forced_worlds(model, BBI_IU)[1] == (0, 1, 2)
+def test_the_checker_imports_no_proof_rules():
+    # soundness rests on the oracle, so it must not share code with what
+    # it checks: the calculus, the normalizer, the search, the heap rules
+    # or the model builder
+    tree = ast.parse(pathlib.Path(oracle.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(a.name for a in node.names)
+    parts = {part for name in names for part in name.split(".")}
+    assert not parts & {"calculus", "unify", "search", "heap", "countermodel"}
 
 
 # -- recursive specification of satisfies ------------------------------------

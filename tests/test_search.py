@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from pasl import oracle, search
+from pasl import countermodel, search
 from pasl.calculus import check
 from pasl.config import ConfigError, preset
 from pasl.formula import parse
@@ -242,7 +242,7 @@ def test_blocked_branch_ends_with_a_certified_model():
 def test_blocked_branch_never_ends_without_a_certificate(monkeypatch):
     # with every frame rejected, blocked labels are unblocked and S
     # unrolls as it would without blocking, until the atom budget fires
-    monkeypatch.setattr(oracle, "check_conditions", lambda rel, n, cfg: False)
+    monkeypatch.setattr(countermodel, "check_conditions", lambda rel, n, cfg: False)
     v = prove(parse(BLOCKED), preset("bbi+s"), FLEET_LIMITS)
     assert v == ResourceExhausted("relational atoms")
 
@@ -286,7 +286,7 @@ def test_round_cap_ends_with_a_certified_model(s, logic):
 def test_round_cap_without_a_model_still_exhausts(monkeypatch):
     # with every frame rejected, each cap ends as it did without the
     # attempt, and the deeper caps run to the atom budget
-    monkeypatch.setattr(oracle, "check_conditions", lambda rel, n, cfg: False)
+    monkeypatch.setattr(countermodel, "check_conditions", lambda rel, n, cfg: False)
     v = prove(parse("((~false * true) /\\ (emp /\\ a)) -> b"), PASL, FLEET_LIMITS)
     assert v == ResourceExhausted("relational atoms")
 
