@@ -1,19 +1,16 @@
 """The model of an open branch: merged, normalized, completed, checked."""
-import random
-
 import pytest
 
 from pasl.config import preset
-from pasl.countermodel import branch_countermodel, complete_frame
+from pasl.countermodel import branch_countermodel
 from pasl.formula import parse
 from pasl.oracle import FrameModel, check_conditions, enumerate_frames, satisfies
 from pasl.sequent import Sequent
 from pasl.unify import find_redex
-from test_oracle import LOGICS, spec_rebrackets
+from test_oracle import LOGICS
 
 BBI = preset("bbi")
 BBI_IU = preset("bbi+iu")
-BBI_S = preset("bbi+s")
 
 A, B = parse("a"), parse("b")
 
@@ -28,41 +25,6 @@ def certified(got, cfg, goal):
     assert check_conditions(model.rel, model.size, cfg)
     assert not satisfies(model, world, goal)
     return got
-
-
-# -- completing the model of an open branch ----------------------------------
-
-@pytest.mark.parametrize("name", LOGICS)
-def test_complete_frame_leaves_frames_unchanged(name):
-    cfg = preset(name)
-    for n in (1, 2, 3):
-        for rel in enumerate_frames(n, cfg):
-            assert complete_frame(rel, n, cfg) is rel
-
-
-def test_complete_frame_rebrackets_every_triple():
-    rng = random.Random(23)
-    completed = 0
-    for _ in range(400):
-        n = rng.randint(1, 6)
-        cfg = rng.choice((BBI, BBI_S))
-        rel = {(a, 0, a) for a in range(n)} | {(0, a, a) for a in range(n)}
-        density = rng.choice((0.05, 0.15, 0.3))
-        for a in range(1, n):
-            for b in range(a, n):
-                for c in range(n):
-                    if rng.random() < density:
-                        rel.update({(a, b, c), (b, a, c)})
-        rel = frozenset(rel)
-        got = complete_frame(rel, n, cfg)
-        assert rel <= got
-        assert all((b, a, c) in got for (a, b, c) in got)
-        assert spec_rebrackets(got, n, nonempty=True), (sorted(rel), n)
-        if cfg.splittability:
-            for c in range(1, n):
-                assert any(t[2] == c and t[0] != 0 and t[1] != 0 for t in got)
-        completed += got != rel
-    assert completed > 100     # the sample reaches relations that need atoms
 
 
 # -- identifying the labels a logic forces to be equal -----------------------

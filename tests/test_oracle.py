@@ -8,6 +8,7 @@ import pytest
 
 from pasl import oracle
 from pasl.config import preset
+from pasl.countermodel import complete_frame
 from pasl.formula import BOT, EMP, TOP, conj, disj, imp, neg, parse, prop, show, star, wand
 from pasl.oracle import (
     FrameModel, assignments, check_conditions, enumerate_frames, find_countermodel,
@@ -276,6 +277,43 @@ def test_check_conditions_rejects_worlds_outside_the_frame():
     assert check_conditions(Z2, 2, BBI)
     assert not check_conditions(Z2 | {(2, 0, 2), (0, 2, 2)}, 2, BBI)
     assert not check_conditions(Z2 | {(1, 1, -1)}, 2, BBI)
+
+
+# -- completing the model of an open branch ----------------------------------
+# complete_frame belongs to the model builder, pasl.countermodel; it is
+# checked here against the specification of the frame conditions
+
+@pytest.mark.parametrize("name", LOGICS)
+def test_complete_frame_leaves_frames_unchanged(name):
+    cfg = preset(name)
+    for n in (1, 2, 3):
+        for rel in enumerate_frames(n, cfg):
+            assert complete_frame(rel, n, cfg) is rel
+
+
+def test_complete_frame_rebrackets_every_triple():
+    rng = random.Random(23)
+    completed = 0
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        cfg = rng.choice((BBI, BBI_S))
+        rel = {(a, 0, a) for a in range(n)} | {(0, a, a) for a in range(n)}
+        density = rng.choice((0.05, 0.15, 0.3))
+        for a in range(1, n):
+            for b in range(a, n):
+                for c in range(n):
+                    if rng.random() < density:
+                        rel.update({(a, b, c), (b, a, c)})
+        rel = frozenset(rel)
+        got = complete_frame(rel, n, cfg)
+        assert rel <= got
+        assert all((b, a, c) in got for (a, b, c) in got)
+        assert spec_rebrackets(got, n, nonempty=True), (sorted(rel), n)
+        if cfg.splittability:
+            for c in range(1, n):
+                assert any(t[2] == c and t[0] != 0 and t[1] != 0 for t in got)
+        completed += got != rel
+    assert completed > 100     # the sample reaches relations that need atoms
 
 
 # -- independence of the checker --------------------------------------------
