@@ -91,7 +91,7 @@ def rule_enabled(rule: Rule, cfg: LogicConfig) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RuleInstance:
     rule: Rule
     principal_gamma: Tuple[LabelledFormula, ...] = ()
@@ -104,7 +104,7 @@ class RuleInstance:
     exprs: Tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Derivation:
     """A proof: its conclusion and every rule instance of it in depth-first
     order, first premise first.  An instance fixes its premises, which

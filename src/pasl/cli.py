@@ -10,7 +10,7 @@ from typing import List
 
 from .calculus import Derivation, expand
 from .config import ConfigError, LogicConfig, preset
-from .formula import ParseError, parse, show
+from .formula import Formula, ParseError, parse, show
 from .oracle import check_conditions, format_model, parse_model, satisfies
 from .search import NotProved, Prover, ResourceExhausted, SearchLimits, Valid, prove
 from .sequent import format_sequent
@@ -21,12 +21,13 @@ EXIT_EXHAUSTED = 2
 EXIT_ERROR = 3
 
 
-@dataclass
+@dataclass(slots=True)
 class CorpusEntry:
     id: str
     cfg: str
     expected: str      # Valid | NotValid | NotProvedKnown
     formula: str
+    goal: Formula      # formula, parsed
 
 
 def load_corpus(path: str) -> List[CorpusEntry]:
@@ -43,8 +44,7 @@ def load_corpus(path: str) -> List[CorpusEntry]:
             if expected not in ("Valid", "NotValid", "NotProvedKnown"):
                 raise ValueError("%s:%d: bad expected verdict %r" % (path, i, expected))
             preset(cfg)          # fail early on unknown presets
-            parse(formula)
-            out.append(CorpusEntry(ident, cfg, expected, formula))
+            out.append(CorpusEntry(ident, cfg, expected, formula, parse(formula)))
     return out
 
 
@@ -127,7 +127,7 @@ def cmd_bench(args) -> int:
     for e in entries:
         t0 = time.monotonic()
         try:
-            kind = type(prove(parse(e.formula), preset(e.cfg), _limits(args))).__name__
+            kind = type(prove(e.goal, preset(e.cfg), _limits(args))).__name__
             ok = (kind == "Valid") if e.expected == "Valid" else (kind != "Valid")
         except Exception as exc:    # one failing row must not end the run
             print("error: %s: %s" % (e.id, _describe(exc)), file=sys.stderr)

@@ -2,13 +2,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 
 class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogicConfig:
     partial_determinism: bool = False
     cancellativity: bool = False
@@ -51,8 +52,11 @@ _FLAGS = {
 }
 
 
+@lru_cache(maxsize=64)
 def preset(name: str) -> LogicConfig:
-    """Parse a logic name like "bbi", "pasl+d" or "separata+"."""
+    """Parse a logic name like "bbi", "pasl+d" or "separata+".  Cached:
+    a LogicConfig is frozen, so one object serves every caller, and a
+    bad name raises anew on each call, since errors are not cached."""
     key = name.strip().lower()
     if key in _PRESETS:
         return _validate(_PRESETS[key], name)

@@ -178,29 +178,40 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-_ALIASES = [
-    ("⊤*", "emp"), ("⊤", "true"), ("⊥", "false"),
-    ("¬", "~"), ("∧", "/\\"), ("∨", "\\/"), ("→", "->"),
-    ("−∗", "-*"), ("−o", "-o"), ("∗", "*"), ("↦", "|->"),
-]
+# each operator symbol and Unicode alias, as the token it stands for
+_SYMBOLS = {
+    "⊤*": "emp", "⊤": "true", "⊥": "false", "¬": "~", "∧": "/\\", "∨": "\\/",
+    "→": "->", "−∗": "-*", "−o": "-o", "∗": "*", "↦": "|->",
+    **{op: op for op in ("|->", "-*", "-o", "->", "/\\", "\\/", "~", "*", "(", ")",
+                         "=", ".")},
+}
 
-# an operator symbol, a word, or any other non-blank character; the
+# a symbol, longest first, a word, or any other non-blank character; the
 # blanks between matches are skipped
-_TOKEN = re.compile(r"(\|->|-\*|-o|->|/\\|\\/|[~*()=.])|(\w+)|(\S)")
+_TOKEN = re.compile("|".join(re.escape(t) for t in sorted(_SYMBOLS, key=len, reverse=True))
+                    + r"|\w+|\S")
 
 
 def _tokenize(s: str) -> list:
-    for uni, asc in _ALIASES:
-        s = s.replace(uni, asc)
-    toks = []
-    for m in _TOKEN.finditer(s):
-        tok, i = m.group(), m.start()
-        if m.lastindex != 1 and not (tok[0].isalpha() and tok[0].islower()):
+    """The tokens of s, each symbol as its ASCII form, then None."""
+    toks = _TOKEN.findall(s)
+    for k, tok in enumerate(toks):
+        sym = _SYMBOLS.get(tok)
+        if sym is not None:
+            toks[k] = sym
+        elif not (tok[0].isalpha() and tok[0].islower()):
             # identifiers start with a lowercase letter
-            raise ParseError("unexpected character %r" % tok[0], i)
-        toks.append((tok, i))
-    toks.append((None, len(s)))
+            raise ParseError("unexpected character %r" % tok[0], _offset(s, k))
+    toks.append(None)
     return toks
+
+
+def _offset(s: str, k: int) -> int:
+    """Where token k of s starts in s; len(s) for the end."""
+    for j, m in enumerate(_TOKEN.finditer(s)):
+        if j == k:
+            return m.start()
+    return len(s)
 
 
 _KEYWORDS = {"true", "false", "emp", "exists"}
@@ -234,24 +245,24 @@ def parse(s: str) -> Formula:
     while True:
         # an operand: a run of ~, then an atom or a context that opens
         n = 0
-        t, pos = toks[i]
+        t = toks[i]
         i += 1
         while t == "~":
             n += 1
-            t, pos = toks[i]
+            t = toks[i]
             i += 1
         if t == "(" or t == "exists":
             if t == "(":
                 opened = ")"
             else:
                 opened = []      # the bound variables
-                while _is_ident(toks[i][0]):
-                    opened.append(toks[i][0])
+                while _is_ident(toks[i]):
+                    opened.append(toks[i])
                     i += 1
                 if not opened:
-                    raise ParseError("expected bound variable", toks[i][1])
-                if toks[i][0] != ".":
-                    raise ParseError("expected '.'", toks[i][1])
+                    raise ParseError("expected bound variable", _offset(s, i))
+                if toks[i] != ".":
+                    raise ParseError("expected '.'", _offset(s, i))
                 i += 1
             outer.append((operands, ops, closer, negs))
             operands, ops, closer, negs = [], [], opened, n
@@ -263,23 +274,23 @@ def parse(s: str) -> Formula:
         elif t == "emp":
             f = EMP
         elif _is_ident(t):
-            nxt = toks[i][0]
+            nxt = toks[i]
             if nxt == "|->" or nxt == "=":
-                e, epos = toks[i + 1]
+                e = toks[i + 1]
                 if not _is_ident(e):
-                    raise ParseError("expected expression identifier", epos)
+                    raise ParseError("expected expression identifier", _offset(s, i + 1))
                 i += 2
                 f = points_to(t, e) if nxt == "|->" else expr_eq(t, e)
             else:
                 f = prop(t)
         else:
-            raise ParseError("expected formula", pos)
+            raise ParseError("expected formula", _offset(s, i - 1))
         for _ in range(n):
             f = neg(f)
         # a connective, or the end of the contexts the operand closes
         while True:
             operands.append(f)
-            t, pos = toks[i]
+            t = toks[i]
             op = _BINARY.get(t)
             if op is not None:
                 prec = op[0]
@@ -296,11 +307,11 @@ def parse(s: str) -> Formula:
             f = operands[0]
             if closer is None:
                 if t is not None:
-                    raise ParseError("trailing input", pos)
+                    raise ParseError("trailing input", _offset(s, i))
                 return f
             if closer == ")":
                 if t != ")":
-                    raise ParseError("expected ')'", pos)
+                    raise ParseError("expected ')'", _offset(s, i))
                 i += 1
             else:
                 for v in reversed(closer):

@@ -10,6 +10,7 @@ may use the rules, and is certified here.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, Optional, Tuple
@@ -21,7 +22,7 @@ from .sequent import EPS, Sequent
 Triple = Tuple[int, int, int]
 
 
-@dataclass
+@dataclass(slots=True)
 class FrameModel:
     size: int
     rel: FrozenSet[Triple]
@@ -271,10 +272,17 @@ def _clear_frame_caches() -> None:
 enumerate_frames.cache_clear = _clear_frame_caches
 
 
+@functools.lru_cache(maxsize=None)
+def _world_subsets(n: int) -> Tuple[FrozenSet[int], ...]:
+    """Every subset of the worlds 0..n-1, smallest first; shared by all
+    the valuations on n worlds.  Unbounded, as n is at most the 4 worlds
+    that enumerate_frames builds."""
+    return tuple(frozenset(s) for r in range(n + 1)
+                 for s in itertools.combinations(range(n), r))
+
+
 def _valuations(props: Tuple[str, ...], n: int) -> Iterator[Dict[str, FrozenSet[int]]]:
-    world_subsets = [frozenset(s) for r in range(n + 1)
-                     for s in itertools.combinations(range(n), r)]
-    for choice in itertools.product(world_subsets, repeat=len(props)):
+    for choice in itertools.product(_world_subsets(n), repeat=len(props)):
         yield dict(zip(props, choice))
 
 

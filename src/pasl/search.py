@@ -65,7 +65,7 @@ from .sequent import EPS, Sequent, initial_sequent
 from .unify import find_redex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchLimits:
     max_structural_rounds: int = 12
     max_rule_apps: int = 200000        # over the whole search, every round cap
@@ -73,12 +73,12 @@ class SearchLimits:
     wall_clock_ms: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Valid:
     proof: Derivation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NotProved:
     open_branch: Sequent
     # a finite model of the logic and a world where it falsifies the goal,
@@ -86,7 +86,7 @@ class NotProved:
     countermodel: Optional[Tuple[FrameModel, int]] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResourceExhausted:
     limit: str
 

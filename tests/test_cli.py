@@ -132,8 +132,9 @@ def test_check_model_deep_formula(tmp_path, capsys):
 
 
 def test_prove_exhausted(capsys):
-    code, out, _ = run(capsys, "prove", "emp /\\ (a * b) -> a", "--logic", "pasl",
-                       "--max-apps", "200")
+    # a pasl theorem whose proof has 1,505 steps, more than the budget
+    f = "(a1 * (a2 * (a3 * (a4 * (a5 * a6))))) -> (a6 * (a5 * (a4 * (a3 * (a2 * a1)))))"
+    code, out, _ = run(capsys, "prove", f, "--logic", "pasl", "--max-apps", "200")
     assert code == 2
     assert out.startswith("ResourceExhausted")
 
@@ -273,3 +274,5 @@ def test_shipped_corpora_load():
     assert len(t1) == 19
     assert len(t2) == 6
     assert all(e.expected == "Valid" for e in t1 + t2)
+    # each row is parsed once, when it is loaded
+    assert all(e.goal is parse(e.formula) for e in t1 + t2)

@@ -44,3 +44,16 @@ def test_unknown_names_rejected():
     for bad in ("foo", "bbi+q", "pasl+"):
         with pytest.raises(ConfigError):
             preset(bad)
+
+
+def test_preset_is_cached_and_errors_are_not():
+    # a LogicConfig is frozen, so every caller may share one object
+    assert preset("bbi+p+iu") is preset("bbi+p+iu")
+    with pytest.raises(AttributeError):
+        preset("pasl").cancellativity = False
+    # a bad name raises on every call, not only the first
+    for _ in range(3):
+        with pytest.raises(ConfigError):
+            preset("bbi+q")
+        with pytest.raises(ConfigError):
+            preset("bbi+heap")

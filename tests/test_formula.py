@@ -176,9 +176,9 @@ PARSE_ERRORS = [
     ("exists . a", "expected bound variable (at position 7)", 7),
     ("x |-> ", "expected expression identifier (at position 6)", 6),
     ("x = true", "expected expression identifier (at position 4)", 4),
-    # positions count in the text after the Unicode aliases are replaced
-    ("a ∗ ⊥ 1", "unexpected character '1' (at position 10)", 10),
-    ("⊤* → (a", "expected ')' (at position 9)", 9),
+    # positions count characters of the text as typed, Unicode aliases too
+    ("a ∗ ⊥ 1", "unexpected character '1' (at position 6)", 6),
+    ("⊤* → (a", "expected ')' (at position 7)", 7),
     ("¬ é É", "unexpected character 'É' (at position 4)", 4),
 ]
 

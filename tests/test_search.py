@@ -136,14 +136,28 @@ def test_deep_proof_prints_and_hashes():
     assert hash(v.proof) == hash(v.proof)
 
 
-NEGATIVE_CONTROL = "(emp /\\ (a * b)) -> a"
+def test_proof_records_keep_no_attribute_dict():
+    # a Valid keeps one RuleInstance per proof step, so its records are
+    # slotted: no per-instance __dict__ next to the fields
+    v = prove(parse("(a * b) -> (b * a)"), BBI)
+    n = prove(parse("a -> (a * a)"), BBI)
+    records = [v, v.proof, v.proof.steps[0], n, n.countermodel[0],
+               ResourceExhausted("rule applications"), SearchLimits(), BBI]
+    for r in records:
+        assert not hasattr(r, "__dict__"), type(r).__name__
+
+
+# a theorem of pasl whose proof has 1,505 steps, so a smaller rule budget
+# runs out whatever the search does with refutable inputs
+REVERSED_STAR = ("(a1 * (a2 * (a3 * (a4 * (a5 * a6))))) -> "
+                 "(a6 * (a5 * (a4 * (a3 * (a2 * a1)))))")
 
 
 def test_rule_budget_bounds_what_the_search_retains():
     # the branch trail keeps rule instances, not the sequents they were
     # applied to, so a search stopped by its budget has retained little
     p = Prover(PASL, SearchLimits(max_rule_apps=800))
-    goal = parse(NEGATIVE_CONTROL)
+    goal = parse(REVERSED_STAR)
     tracemalloc.start()
     try:
         v = p.prove(goal)
