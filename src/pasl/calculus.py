@@ -152,16 +152,16 @@ def expand(seq: Sequent, inst: RuleInstance, cfg: LogicConfig) -> Tuple[Sequent,
     if not rule_enabled(r, cfg):
         raise RuleError("rule %s disabled in %s" % (r.value, cfg.name()))
     for lf in inst.principal_gamma:
-        if lf not in seq.gamma_set:
+        if lf not in seq.gamma:
             raise RuleError("missing antecedent %s: %s" % (label_name(lf[0]), lf[1]))
     for lf in inst.principal_delta:
-        if lf not in seq.delta_set:
+        if lf not in seq.delta:
             raise RuleError("missing succedent %s: %s" % (label_name(lf[0]), lf[1]))
     for a in inst.principal_rels:
-        if a not in seq.rel_set:
+        if a not in seq.rel:
             raise RuleError("missing relational atom %r" % (a,))
     for q in inst.principal_ineqs:
-        if q not in seq.ineq_set:
+        if q not in seq.ineq:
             raise RuleError("missing inequality %r" % (q,))
     for w in inst.fresh:
         if w in seq.labels:

@@ -192,8 +192,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except RecursionError as e:     # a crash must not exit as a verdict
-        print("error: input nested too deeply: %s"
+    except (RecursionError, MemoryError) as e:     # a crash must not exit as a verdict
+        print("error: input too deep or too large: %s"
               % _describe(e), file=sys.stderr)
         return EXIT_ERROR
 

@@ -128,9 +128,9 @@ def branch_countermodel(seq: Sequent, merge: Dict[int, int], goal: Formula,
         if w not in merge:
             rel.add((w, EPS, w))
             rel.add((EPS, w, w))
-    image = Sequent(rel=tuple(sorted(rel)),
-                    gamma=tuple((w, f) for (w, f) in seq.gamma
-                                if f.kind == "var" and w not in merge))
+    image = Sequent(rel=sorted(rel),
+                    gamma=((w, f) for (w, f) in seq.gamma
+                           if f.kind == "var" and w not in merge))
     first = m(1) if 1 in seq.labels else EPS
     red = find_redex(image, cfg)
     while red is not None:

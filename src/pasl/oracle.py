@@ -208,6 +208,9 @@ def _cross_splits(comp, targets, n: int) -> bool:
 def check_conditions(rel: FrozenSet[Triple], n: int, cfg: LogicConfig) -> bool:
     """Is rel a frame of cfg on the worlds 0..n-1: a commutative monoid
     with unit 0 that meets cfg's extra conditions?"""
+    # a world without its unit atom: no monoid, known before the n^2 table
+    if any((a, 0, a) not in rel for a in range(n)):
+        return False
     table = _table(rel, n)
     return (table is not None and _is_monoid(*table, n)
             and _meets_extras(*table, n, cfg))

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Optional, Set, Tuple
 
 from .calculus import (Derivation, Rule, RuleInstance, check, closures,
@@ -101,26 +102,26 @@ class _Exhausted(Exception):
         self.limit = limit
 
 
-def _rewrite_memo_label(memo: Set[tuple], frm: int, to: int) -> Set[tuple]:
-    def ml(x):
-        if isinstance(x, int):
-            return to if x == frm else x
+def _rewrite_memo(memo: Set[tuple], leaf) -> Set[tuple]:
+    """memo with leaf applied to every item of its keys that is not a
+    tuple; tuples are walked into."""
+    def walk(x):
         if isinstance(x, tuple):
-            return tuple(ml(e) for e in x)
-        return x
-    return {tuple(ml(e) for e in key) for key in memo}
+            return tuple(walk(e) for e in x)
+        return leaf(x)
+    return {walk(key) for key in memo}
+
+
+def _rewrite_memo_label(memo: Set[tuple], frm: int, to: int) -> Set[tuple]:
+    return _rewrite_memo(memo, lambda x: to if isinstance(x, int) and x == frm else x)
 
 
 def _rewrite_memo_expr(memo: Set[tuple], frm: str, to: str) -> Set[tuple]:
-    def me(x):
+    def leaf(x):
         if isinstance(x, Formula):
             return subst_expr(x, frm, to)
-        if isinstance(x, str):
-            return to if x == frm else x
-        if isinstance(x, tuple):
-            return tuple(me(e) for e in x)
-        return x
-    return {tuple(me(e) for e in key) for key in memo}
+        return to if isinstance(x, str) and x == frm else x
+    return _rewrite_memo(memo, leaf)
 
 
 class Prover:
@@ -140,9 +141,11 @@ class Prover:
     def prove(self, goal: Formula):
         if has_heap(goal) and not self.cfg.heap_extension:
             raise ConfigError("formula uses heap atoms; pick a heap-enabled logic")
-        return self.prove_sequent(initial_sequent(goal))
+        return self.prove_sequent(initial_sequent(goal), goal)
 
-    def prove_sequent(self, seq: Sequent):
+    def prove_sequent(self, seq: Sequent, goal: Optional[Formula] = None):
+        """The verdict on seq.  goal is the formula seq is the initial
+        sequent of, if any: an open branch may then refute it."""
         if self.limits.wall_clock_ms is not None:
             self.deadline = time.monotonic() + self.limits.wall_clock_ms / 1000.0
         # Deepen the structural round budget gradually: saturating the
@@ -153,9 +156,7 @@ class Prover:
         caps = [c for c in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64) if c < top]
         caps.append(top)
         self.apps = 0
-        # the goal of an initial sequent, which an open branch may refute
-        self.goal = (seq.delta[0][1] if seq.delta
-                     and seq == initial_sequent(seq.delta[0][1]) else None)
+        self.goal = goal
         for cap in caps:
             self.round_cap = cap
             try:
@@ -251,7 +252,7 @@ class Prover:
         if hr is not None:
             return hr, self._memo_after_heap(hr, memo)
         for a in seq.rel:
-            if (a[1], a[0], a[2]) not in seq.rel_set:
+            if (a[1], a[0], a[2]) not in seq.rel:
                 return RuleInstance(Rule.E, principal_rels=(a,)), memo
         return None
 
@@ -335,8 +336,8 @@ class Prover:
             if f.kind == "star":
                 a = self._pick_atom(
                     memo, "*R", lf, [a for a in seq.rel if a[2] == w],
-                    lambda a: ((a[0], f.args[0]) in seq.gamma_set)
-                    + ((a[1], f.args[1]) in seq.gamma_set),
+                    lambda a: ((a[0], f.args[0]) in seq.gamma)
+                    + ((a[1], f.args[1]) in seq.gamma),
                     min_score)
                 if a is not None:
                     return (("*R", lf, a),), RuleInstance(Rule.STAR_R,
@@ -353,8 +354,8 @@ class Prover:
             if f.kind == "wand":
                 a = self._pick_atom(
                     memo, "-*L", lf, [a for a in seq.rel if a[1] == w],
-                    lambda a: ((a[0], f.args[0]) in seq.gamma_set)
-                    + ((a[2], f.args[1]) in seq.delta_set),
+                    lambda a: ((a[0], f.args[0]) in seq.gamma)
+                    + ((a[2], f.args[1]) in seq.delta),
                     min_score)
                 if a is not None:
                     return (("-*L", lf, a),), RuleInstance(Rule.WAND_L,
@@ -409,8 +410,8 @@ class Prover:
         # excluded middle on emptiness, for labels that emp talks about and
         # that are not known to be non-empty yet
         targets = set()
-        for (w, f) in seq.gamma + seq.delta:
-            if (w != EPS and (w, EPS) not in seq.ineq_set
+        for (w, f) in chain(seq.gamma, seq.delta):
+            if (w != EPS and (w, EPS) not in seq.ineq
                     and any(g is EMP for g in subformulae(f))):
                 targets.add(w)
         for w in sorted(targets):
@@ -545,22 +546,21 @@ class Prover:
 
         # unit atoms for every known label
         for w in sorted(seq.labels):
-            if (w, EPS, w) not in seq.rel_set:
+            if (w, EPS, w) not in seq.rel:
                 apply(RuleInstance(Rule.U, labels=(w,)))
 
         # close the new atoms under commutativity right away
         for a in list(seq.rel):
-            if (a[1], a[0], a[2]) not in seq.rel_set:
+            if (a[1], a[0], a[2]) not in seq.rel:
                 apply(RuleInstance(Rule.E, principal_rels=(a,)))
 
         return seq, added
 
     def _assoc_redundant(self, seq: Sequent, u, v, y, z) -> bool:
         # does some w already witness (u,w |> z) and (y,v |> w)?
-        rs = seq.rel_set
         for (p, w, q) in seq.rel:
             if p == u and q == z:
-                if (y, v, w) in rs or (v, y, w) in rs:
+                if (y, v, w) in seq.rel or (v, y, w) in seq.rel:
                     return True
         return False
 

@@ -2,15 +2,18 @@
 
 A label is an int; 0 is the distinguished identity world and positive
 ints are label variables.  A sequent carries relational atoms (x,y|>z),
-inequalities x != y, and labelled formulae on both sides.  Tuples keep
-insertion order (the proof search relies on this for fairness) while the
-derived frozensets give fast membership tests.
+inequalities x != y, and labelled formulae on both sides.  Each part is
+an insertion-ordered dict with None values that keeps the first
+occurrence of each item it is built from: its order is the order the
+proof search relies on for fairness, and its keys give fast membership
+tests.  A part is never changed once its sequent is built.  Two
+sequents are equal when their parts hold the same items, in any order,
+as the sets of the calculus do.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import FrozenSet, Tuple
+from itertools import chain
+from typing import Dict, FrozenSet, Iterable, Tuple
 
 from .formula import Formula, free_exprs, show, subst_expr
 
@@ -22,51 +25,46 @@ Ineq = Tuple[Label, Label]
 LabelledFormula = Tuple[Label, Formula]
 
 
-def _dedup(items):
-    seen = set()
-    out = []
-    for it in items:
-        if it not in seen:
-            seen.add(it)
-            out.append(it)
-    return tuple(out)
-
-
-@dataclass(frozen=True)
 class Sequent:
-    rel: Tuple[RelAtom, ...] = ()
-    ineq: Tuple[Ineq, ...] = ()
-    gamma: Tuple[LabelledFormula, ...] = ()
-    delta: Tuple[LabelledFormula, ...] = ()
+    __slots__ = ("rel", "ineq", "gamma", "delta", "_labels")
+    rel: Dict[RelAtom, None]
+    ineq: Dict[Ineq, None]
+    gamma: Dict[LabelledFormula, None]
+    delta: Dict[LabelledFormula, None]
 
-    @cached_property
-    def rel_set(self) -> FrozenSet[RelAtom]:
-        return frozenset(self.rel)
+    def __init__(self, rel: Iterable[RelAtom] = (), ineq: Iterable[Ineq] = (),
+                 gamma: Iterable[LabelledFormula] = (),
+                 delta: Iterable[LabelledFormula] = ()):
+        self.rel = dict.fromkeys(rel)
+        self.ineq = dict.fromkeys(ineq)
+        self.gamma = dict.fromkeys(gamma)
+        self.delta = dict.fromkeys(delta)
+        self._labels = None         # built on first use
 
-    @cached_property
-    def ineq_set(self) -> FrozenSet[Ineq]:
-        return frozenset(self.ineq)
+    def __eq__(self, other):
+        if not isinstance(other, Sequent):
+            return NotImplemented
+        return (self.rel == other.rel and self.ineq == other.ineq
+                and self.gamma == other.gamma and self.delta == other.delta)
 
-    @cached_property
-    def gamma_set(self) -> FrozenSet[LabelledFormula]:
-        return frozenset(self.gamma)
+    def __hash__(self):
+        return hash((frozenset(self.rel), frozenset(self.ineq),
+                     frozenset(self.gamma), frozenset(self.delta)))
 
-    @cached_property
-    def delta_set(self) -> FrozenSet[LabelledFormula]:
-        return frozenset(self.delta)
-
-    @cached_property
+    @property
     def labels(self) -> FrozenSet[Label]:
-        out = {EPS}
-        for (x, y, z) in self.rel:
-            out.update((x, y, z))
-        for (x, y) in self.ineq:
-            out.update((x, y))
-        for (w, _) in self.gamma:
-            out.add(w)
-        for (w, _) in self.delta:
-            out.add(w)
-        return frozenset(out)
+        if self._labels is None:
+            out = {EPS}
+            for (x, y, z) in self.rel:
+                out.update((x, y, z))
+            for (x, y) in self.ineq:
+                out.update((x, y))
+            for (w, _) in self.gamma:
+                out.add(w)
+            for (w, _) in self.delta:
+                out.add(w)
+            self._labels = frozenset(out)
+        return self._labels
 
     def fresh_label(self) -> Label:
         return max(self.labels) + 1
@@ -77,22 +75,18 @@ class Sequent:
         g = self.gamma
         d = self.delta
         if drop_gamma:
-            g = tuple(lf for lf in g if lf not in drop_gamma)
+            g = (lf for lf in g if lf not in drop_gamma)
         if drop_delta:
-            d = tuple(lf for lf in d if lf not in drop_delta)
-        return Sequent(
-            rel=_dedup(self.rel + tuple(rel)),
-            ineq=_dedup(self.ineq + tuple(ineq)),
-            gamma=_dedup(tuple(gamma) + g),
-            delta=_dedup(tuple(delta) + d),
-        )
+            d = (lf for lf in d if lf not in drop_delta)
+        return Sequent(chain(self.rel, rel), chain(self.ineq, ineq),
+                       chain(gamma, g), chain(delta, d))
 
     def requeue(self, side: str, lf: LabelledFormula) -> "Sequent":
         """Move a formula to the back of its queue (fairness for retained principals)."""
         if side == "gamma":
-            g = tuple(x for x in self.gamma if x != lf) + (lf,)
+            g = chain((x for x in self.gamma if x != lf), (lf,))
             return Sequent(self.rel, self.ineq, g, self.delta)
-        d = tuple(x for x in self.delta if x != lf) + (lf,)
+        d = chain((x for x in self.delta if x != lf), (lf,))
         return Sequent(self.rel, self.ineq, self.gamma, d)
 
     def subst_label(self, frm: Label, to: Label) -> "Sequent":
@@ -100,10 +94,10 @@ class Sequent:
             return self
         m = lambda w: to if w == frm else w
         return Sequent(
-            rel=_dedup((m(x), m(y), m(z)) for (x, y, z) in self.rel),
-            ineq=_dedup((m(x), m(y)) for (x, y) in self.ineq),
-            gamma=_dedup((m(w), f) for (w, f) in self.gamma),
-            delta=_dedup((m(w), f) for (w, f) in self.delta),
+            rel=((m(x), m(y), m(z)) for (x, y, z) in self.rel),
+            ineq=((m(x), m(y)) for (x, y) in self.ineq),
+            gamma=((m(w), f) for (w, f) in self.gamma),
+            delta=((m(w), f) for (w, f) in self.delta),
         )
 
     def subst_expr(self, frm: str, to: str) -> "Sequent":
@@ -112,11 +106,11 @@ class Sequent:
         return Sequent(
             rel=self.rel,
             ineq=self.ineq,
-            gamma=_dedup((w, subst_expr(f, frm, to)) for (w, f) in self.gamma),
-            delta=_dedup((w, subst_expr(f, frm, to)) for (w, f) in self.delta),
+            gamma=((w, subst_expr(f, frm, to)) for (w, f) in self.gamma),
+            delta=((w, subst_expr(f, frm, to)) for (w, f) in self.delta),
         )
 
-    def __str__(self) -> str:
+    def __repr__(self) -> str:
         return format_sequent(self)
 
 
@@ -139,10 +133,10 @@ def format_sequent(s: Sequent) -> str:
 def occurring_exprs(seq: Sequent) -> frozenset:
     """The expression names free in seq's formulae."""
     out = set()
-    for (_, f) in seq.gamma + seq.delta:
+    for (_, f) in chain(seq.gamma, seq.delta):
         out |= free_exprs(f)
     return frozenset(out)
 
 
 def initial_sequent(goal: Formula) -> Sequent:
-    return Sequent(gamma=(), delta=((1, goal),))
+    return Sequent(delta=((1, goal),))

@@ -63,8 +63,8 @@ def test_emp_right_needs_identity_label():
 def test_emp_left_adds_identity_atom():
     s = Sequent(gamma=((3, EMP),))
     p = step(s, RuleInstance(Rule.EMP_L, principal_gamma=((3, EMP),)), BBI)
-    assert p.rel == ((EPS, 3, EPS),)
-    assert p.gamma == ()
+    assert tuple(p.rel) == ((EPS, 3, EPS),)
+    assert tuple(p.gamma) == ()
 
 
 def test_star_left_introduces_fresh_split():
@@ -72,7 +72,7 @@ def test_star_left_introduces_fresh_split():
     s = Sequent(gamma=((1, f),))
     inst = RuleInstance(Rule.STAR_L, principal_gamma=((1, f),), fresh=(2, 3))
     p = step(s, inst, BBI)
-    assert p.rel == ((2, 3, 1),)
+    assert tuple(p.rel) == ((2, 3, 1),)
     assert set(p.gamma) == {(2, parse("a")), (3, parse("b"))}
     # stale labels are rejected
     with pytest.raises(RuleError):
@@ -85,25 +85,25 @@ def test_star_right_keeps_principal_and_requeues():
     inst = RuleInstance(Rule.STAR_R, principal_delta=((1, f),),
                         principal_rels=((2, 3, 1),))
     p1, p2 = expand(s, inst, BBI)
-    assert (2, parse("a")) in p1.delta_set and (1, f) in p1.delta_set
-    assert (3, parse("b")) in p2.delta_set and (1, f) in p2.delta_set
-    assert p1.delta[-1] == (1, f)        # moved to the back of the queue
+    assert (2, parse("a")) in p1.delta and (1, f) in p1.delta
+    assert (3, parse("b")) in p2.delta and (1, f) in p2.delta
+    assert tuple(p1.delta)[-1] == (1, f)        # moved to the back of the queue
 
 
 def test_wand_rules():
     f = parse("a -* b")
     s = Sequent(delta=((1, f),))
     p = step(s, RuleInstance(Rule.WAND_R, principal_delta=((1, f),), fresh=(2, 3)), BBI)
-    assert p.rel == ((2, 1, 3),)
-    assert p.gamma == ((2, parse("a")),)
-    assert p.delta == ((3, parse("b")),)
+    assert tuple(p.rel) == ((2, 1, 3),)
+    assert tuple(p.gamma) == ((2, parse("a")),)
+    assert tuple(p.delta) == ((3, parse("b")),)
 
     s = Sequent(rel=((2, 1, 3),), gamma=((1, f),))
     p1, p2 = expand(s, RuleInstance(Rule.WAND_L, principal_gamma=((1, f),),
                                     principal_rels=((2, 1, 3),)), BBI)
-    assert (2, parse("a")) in p1.delta_set
-    assert (3, parse("b")) in p2.gamma_set
-    assert (1, f) in p2.gamma_set        # retained
+    assert (2, parse("a")) in p1.delta
+    assert (3, parse("b")) in p2.gamma
+    assert (1, f) in p2.gamma        # retained
 
 
 def test_substitution_rules_validate_their_atoms():
@@ -113,7 +113,7 @@ def test_substitution_rules_validate_their_atoms():
     with pytest.raises(RuleError):
         expand(s, inst, BBI)             # P disabled in plain bbi
     (p,) = expand(s, inst, PASL)
-    assert p.rel == ((1, 2, 3),)
+    assert tuple(p.rel) == ((1, 2, 3),)
     # refuse to eliminate the identity label
     bad = RuleInstance(Rule.IU, principal_rels=((EPS, 1, EPS),), subst=((EPS, EPS),))
     with pytest.raises(RuleError):
@@ -124,22 +124,22 @@ def test_from_applied_round_trip():
     s = Sequent(rel=((1, 2, 3), (1, 2, 4)))
     inst = from_applied(AppliedRule("P", ((1, 2, 3), (1, 2, 4)), (4, 3)))
     (p,) = expand(s, inst, PASL)
-    assert p.rel == ((1, 2, 3),)
+    assert tuple(p.rel) == ((1, 2, 3),)
 
 
 def test_structural_rules():
     s = Sequent(rel=((1, 2, 3),))
     (p,) = expand(s, RuleInstance(Rule.E, principal_rels=((1, 2, 3),)), BBI)
-    assert (2, 1, 3) in p.rel_set
+    assert (2, 1, 3) in p.rel
 
     s = Sequent(rel=((1, 2, 3), (4, 5, 1)))
     (p,) = expand(s, RuleInstance(Rule.A, principal_rels=((1, 2, 3), (4, 5, 1)),
                                   fresh=(6,)), BBI)
-    assert (4, 6, 3) in p.rel_set and (2, 5, 6) in p.rel_set
+    assert (4, 6, 3) in p.rel and (2, 5, 6) in p.rel
 
     s = Sequent(delta=((1, parse("a")),))
     (p,) = expand(s, RuleInstance(Rule.U, labels=(1,)), BBI)
-    assert (1, EPS, 1) in p.rel_set
+    assert (1, EPS, 1) in p.rel
 
 
 def test_splittability_rules():
@@ -148,29 +148,29 @@ def test_splittability_rules():
         expand(s, RuleInstance(Rule.S, principal_ineqs=((1, EPS),), fresh=(2, 3)), BBI)
     (p,) = expand(s, RuleInstance(Rule.S, principal_ineqs=((1, EPS),), fresh=(2, 3)),
                   BBI_S)
-    assert (2, 3, 1) in p.rel_set
-    assert {(2, EPS), (3, EPS)} <= p.ineq_set
-    assert (1, EPS) in p.ineq_set        # the inequality stays
+    assert (2, 3, 1) in p.rel
+    assert {(2, EPS), (3, EPS)} <= p.ineq.keys()
+    assert (1, EPS) in p.ineq        # the inequality stays
 
     s = Sequent(rel=((EPS, 1, EPS),), ineq=((1, EPS),))
     assert closures(s, BBI_S).rule is Rule.NEQ_L
 
     s = Sequent(gamma=((1, parse("a")),))
     p1, p2 = expand(s, RuleInstance(Rule.EM, labels=(1,)), BBI_S)
-    assert (1, EPS) in p1.ineq_set
-    assert (EPS, 1, EPS) in p2.rel_set
+    assert (1, EPS) in p1.ineq
+    assert (EPS, 1, EPS) in p2.rel
 
 
 def test_cross_split_rules():
     s = Sequent(rel=((1, 2, 5), (3, 4, 5)))
     (p,) = expand(s, RuleInstance(Rule.CS, principal_rels=((1, 2, 5), (3, 4, 5)),
                                   fresh=(6, 7, 8, 9)), BBI_CS)
-    assert {(6, 7, 1), (6, 8, 3), (8, 9, 2), (7, 9, 4)} <= p.rel_set
+    assert {(6, 7, 1), (6, 8, 3), (8, 9, 2), (7, 9, 4)} <= p.rel.keys()
 
     s = Sequent(rel=((1, 2, 3),))
     (p,) = expand(s, RuleInstance(Rule.CS_C, principal_rels=((1, 2, 3),),
                                   fresh=(4, 5, 6, 7)), preset("bbi+c+cs"))
-    assert {(4, 5, 1), (4, 6, 1), (6, 7, 2), (5, 7, 2)} <= p.rel_set
+    assert {(4, 5, 1), (4, 6, 1), (6, 7, 2), (5, 7, 2)} <= p.rel.keys()
 
 
 def test_rule_enabled_matrix():
@@ -223,7 +223,7 @@ def test_check_accepts_heap_derivation():
     s2 = step(s1, i2, SEP)
     i3 = RuleInstance(Rule.MAPSTO_L3, principal_gamma=((2, cell), (3, cell)))
     s3 = step(s2, i3, SEP)
-    assert s3.rel == ((2, 2, 1),)
+    assert tuple(s3.rel) == ((2, 2, 1),)
     i4 = RuleInstance(Rule.D, principal_rels=((2, 2, 1),), subst=((2, EPS),))
     s4 = step(s3, i4, SEP)
     assert check(Derivation(s0, (i1, i2, i3, i4, close(s4, SEP))), SEP)
@@ -299,3 +299,27 @@ def test_passing_checks_format_nothing(monkeypatch):
     monkeypatch.setattr(pasl.formula, "_show", counting)
     assert isinstance(prove(goal, PASL), Valid)
     assert calls == []
+
+
+def _parts(seq):
+    return tuple(tuple(p) for p in (seq.rel, seq.ineq, seq.gamma, seq.delta))
+
+
+def test_rule_applications_never_change_their_conclusion():
+    # a sequent's parts are dicts, so guard that expand only reads them:
+    # replay a proof of a pasl+d star permutation as check does, and
+    # compare every sequent met against its parts as they were when built
+    goal = parse("(a1 * (a2 * (a3 * (a4 * a5)))) -> (a3 * (a5 * (a1 * (a4 * a2))))")
+    verdict = prove(goal, PASL_D)
+    assert isinstance(verdict, Valid)
+    seen = [(verdict.proof.conclusion, _parts(verdict.proof.conclusion))]
+    pending = [verdict.proof.conclusion]
+    for inst in verdict.proof.steps:
+        seq = pending.pop()
+        before = _parts(seq)
+        premises = expand(seq, inst, PASL_D)
+        assert _parts(seq) == before, inst.rule
+        seen.extend((p, _parts(p)) for p in premises)
+        pending.extend(reversed(premises))
+    assert not pending and len(seen) > 100
+    assert all(_parts(s) == snapshot for s, snapshot in seen)

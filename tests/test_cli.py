@@ -1,7 +1,7 @@
 """Command line interface."""
 import pytest
 
-from pasl import cli, countermodel
+from pasl import cli, countermodel, oracle
 from pasl.cli import load_corpus, main
 from pasl.config import preset
 from pasl.formula import parse
@@ -246,6 +246,34 @@ def test_check_model(tmp_path, capsys):
     # the frame violates indivisible units, so stricter logics reject it
     code, _, err = run(capsys, "check-model", str(model), "a", "--logic", "bbi+iu")
     assert code == 3 and "frame conditions" in err
+
+
+def test_check_model_without_unit_atoms_builds_no_table(tmp_path, capsys, monkeypatch):
+    # a model with no unit atom (a, 0, a) is no frame, and saying so must
+    # not first build its composition table of worlds^2 entries
+    def no_table(rel, n):
+        raise AssertionError("composition table of %d worlds built" % n)
+
+    monkeypatch.setattr(oracle, "_table", no_table)
+    model = tmp_path / "m.model"
+    model.write_text("worlds 100000\neps 0\n")
+    code, out, err = run(capsys, "check-model", str(model), "a")
+    assert code == 3 and out == ""
+    assert "frame conditions" in err and len(err.splitlines()) == 1
+
+
+def test_out_of_memory_exits_as_error(tmp_path, capsys, monkeypatch):
+    # running out of memory is an error, not a verdict
+    def too_big(text):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "parse_model", too_big)
+    model = tmp_path / "m.model"
+    model.write_text("worlds 1\neps 0\nrel 0 0 0\n")
+    code, out, err = run(capsys, "check-model", str(model), "a")
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "in too_big]" in err
 
 
 @pytest.mark.parametrize("extra,argv", [

@@ -22,8 +22,8 @@ def test_eq_left_substitutes_everywhere():
                 delta=((2, parse("a /\\ (y |-> z)")),))
     inst = find_heap_redex(s, SEP)
     (p,) = expand(s, inst, SEP)
-    assert p.gamma == ((2, parse("y |-> z")),)
-    assert p.delta == ((2, parse("a /\\ (y |-> z)")),)
+    assert tuple(p.gamma) == ((2, parse("y |-> z")),)
+    assert tuple(p.delta) == ((2, parse("a /\\ (y |-> z)")),)
 
 
 def test_same_address_merges_labels():
@@ -36,7 +36,7 @@ def test_same_address_merges_labels():
     inst2 = find_heap_redex(p, SEP)
     assert inst2.rule is Rule.MAPSTO_L4
     (p2,) = expand(p, inst2, SEP)
-    assert p2.gamma == ((2, parse("x |-> y")),)
+    assert tuple(p2.gamma) == ((2, parse("x |-> y")),)
 
 
 def test_same_label_unifies_expressions():
@@ -45,8 +45,8 @@ def test_same_label_unifies_expressions():
     inst = find_heap_redex(s, SEP)
     assert inst.rule is Rule.MAPSTO_L4
     (p,) = expand(s, inst, SEP)
-    assert p.gamma == ((3, parse("x |-> y")),)
-    assert p.delta == ((1, parse("x = x")),)
+    assert tuple(p.gamma) == ((3, parse("x |-> y")),)
+    assert tuple(p.delta) == ((1, parse("x = x")),)
 
 
 def test_occurring_and_fresh_exprs():
@@ -68,7 +68,7 @@ def test_mapsto_split_candidates():
     while (r := find_redex(s, SEP)) is not None:
         (s,) = expand(s, from_applied(r), SEP)
     cell = (3, parse("x |-> y"))
-    assert s.gamma == (cell,)
+    assert tuple(s.gamma) == (cell,)
     prover, memo, picked = Prover(SEP), set(), []
     while True:
         ob = prover._obligation(s, memo, min_score=1)
@@ -89,8 +89,8 @@ def test_mapsto_l2_collapses_one_side():
                         principal_rels=((2, 3, 5),))
     p1, p2 = expand(s, inst, SEP)
     # first premise: the left part is empty, the right part is the cell
-    assert (EPS, parse("a")) in p1.gamma_set
-    assert (3, parse("x |-> y")) in p1.gamma_set
+    assert (EPS, parse("a")) in p1.gamma
+    assert (3, parse("x |-> y")) in p1.gamma
     # second premise: the right part is empty, the left part is the cell
-    assert (2, parse("x |-> y")) in p2.gamma_set
-    assert (2, parse("a")) in p2.gamma_set
+    assert (2, parse("x |-> y")) in p2.gamma
+    assert (2, parse("a")) in p2.gamma

@@ -6,8 +6,8 @@ from pasl.sequent import EPS, Sequent, format_sequent, initial_sequent
 def test_initial_sequent():
     goal = parse("(a * b) -> a")
     s = initial_sequent(goal)
-    assert s.gamma == ()
-    assert s.delta == ((1, goal),)
+    assert tuple(s.gamma) == ()
+    assert tuple(s.delta) == ((1, goal),)
     assert s.labels == {EPS, 1}
 
 
@@ -16,8 +16,8 @@ def test_extend_deduplicates():
     b = parse("b")
     s = Sequent(rel=((1, 2, 3),), gamma=((1, a), (1, b)))
     s2 = s.extend(rel=((1, 2, 3),), gamma=((1, a),))
-    assert s2.rel == ((1, 2, 3),)
-    assert s2.gamma == ((1, a), (1, b))
+    assert tuple(s2.rel) == ((1, 2, 3),)
+    assert tuple(s2.gamma) == ((1, a), (1, b))
 
 
 def test_extend_prepends_formulae_appends_atoms():
@@ -25,17 +25,17 @@ def test_extend_prepends_formulae_appends_atoms():
     b = parse("b")
     s = Sequent(rel=((1, 2, 3),), gamma=((1, a),))
     s2 = s.extend(rel=((4, 5, 6),), gamma=((2, b),))
-    assert s2.rel == ((1, 2, 3), (4, 5, 6))
-    assert s2.gamma == ((2, b), (1, a))
+    assert tuple(s2.rel) == ((1, 2, 3), (4, 5, 6))
+    assert tuple(s2.gamma) == ((2, b), (1, a))
 
 
 def test_extend_drops():
     a = parse("a")
     s = Sequent(rel=((1, 2, 3),), gamma=((1, a),), delta=((2, a),))
     s2 = s.extend(drop_gamma=((1, a),))
-    assert s2.gamma == ()
-    assert s2.rel == ((1, 2, 3),)
-    assert s2.delta == ((2, a),)
+    assert tuple(s2.gamma) == ()
+    assert tuple(s2.rel) == ((1, 2, 3),)
+    assert tuple(s2.delta) == ((2, a),)
 
 
 def test_requeue_moves_to_back():
@@ -43,7 +43,7 @@ def test_requeue_moves_to_back():
     b = parse("b")
     s = Sequent(gamma=((1, a), (2, b)))
     s2 = s.requeue("gamma", (1, a))
-    assert s2.gamma == ((2, b), (1, a))
+    assert tuple(s2.gamma) == ((2, b), (1, a))
 
 
 def test_labels_and_fresh():
@@ -56,15 +56,15 @@ def test_subst_label_merges_duplicates():
     a = parse("a")
     s = Sequent(rel=((1, 2, 3), (1, 4, 3)), gamma=((2, a), (4, a)))
     s2 = s.subst_label(4, 2)
-    assert s2.rel == ((1, 2, 3),)
-    assert s2.gamma == ((2, a),)
+    assert tuple(s2.rel) == ((1, 2, 3),)
+    assert tuple(s2.gamma) == ((2, a),)
 
 
 def test_subst_expr_rewrites_both_sides():
     s = Sequent(gamma=((1, parse("x |-> y")),), delta=((1, parse("y = z")),))
     s2 = s.subst_expr("y", "w")
-    assert s2.gamma == ((1, parse("x |-> w")),)
-    assert s2.delta == ((1, parse("w = z")),)
+    assert tuple(s2.gamma) == ((1, parse("x |-> w")),)
+    assert tuple(s2.delta) == ((1, parse("w = z")),)
 
 
 def test_format_sequent():
@@ -72,3 +72,20 @@ def test_format_sequent():
                 gamma=((1, parse("a")),), delta=((2, parse("a * b")),))
     text = format_sequent(s)
     assert text == "(e,a1 |> a2); a1 != e ; a1: a |- a2: a * b"
+
+
+def test_equality_is_of_sets_and_hash_agrees():
+    a = parse("a")
+    b = parse("b")
+    s = Sequent(rel=((1, 2, 3), (2, 1, 3)), ineq=((1, EPS),),
+                gamma=((1, a), (2, b)), delta=((3, a),))
+    t = Sequent(rel=((2, 1, 3), (1, 2, 3), (2, 1, 3)), ineq=((1, EPS),),
+                gamma=((2, b), (1, a)), delta=((3, a), (3, a)))
+    assert tuple(s.gamma) != tuple(t.gamma)       # each keeps its own order
+    assert s == t and hash(s) == hash(t)
+    assert len({s, t}) == 1
+    # one item more, or an item on the other side, is another sequent
+    assert s != s.extend(delta=((1, b),))
+    assert Sequent(gamma=((1, a),)) != Sequent(delta=((1, a),))
+    assert Sequent(rel=((1, 2, 3),)) != Sequent(rel=((2, 1, 3),))
+    assert s != tuple(s.rel)
