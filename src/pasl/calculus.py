@@ -354,17 +354,14 @@ def expand(seq: Sequent, inst: RuleInstance, cfg: LogicConfig) -> Tuple[Sequent,
 
     # structural rules
     if r is Rule.E:
-        ((x, y, z),) = inst.principal_rels
-        return (seq.extend(rel=[(y, x, z)]),)
+        return (seq.extend(rel=structural_atoms(inst)),)
     if r is Rule.A:
-        (x, y, z), (u, v, x2) = inst.principal_rels
+        (x, _, _), (_, _, x2) = inst.principal_rels
         _need(x == x2, "A needs chained atoms")
-        (w,) = inst.fresh
-        return (seq.extend(rel=[(u, w, z), (y, v, w)]),)
+        return (seq.extend(rel=structural_atoms(inst)),)
     if r is Rule.U:
-        (w,) = inst.labels
-        _need(w in seq.labels, "U label must occur")
-        return (seq.extend(rel=[(w, EPS, w)]),)
+        _need(inst.labels[0] in seq.labels, "U label must occur")
+        return (seq.extend(rel=structural_atoms(inst)),)
     if r is Rule.S:
         ((z, z2),) = inst.principal_ineqs
         _need(z2 == EPS, "S needs an inequality with the identity")
@@ -381,6 +378,21 @@ def expand(seq: Sequent, inst: RuleInstance, cfg: LogicConfig) -> Tuple[Sequent,
         return (seq.extend(rel=[(p, q, x), (p, s, x), (s, t, y), (q, t, y)]),)
 
     raise RuleError("unhandled rule %s" % r.value)
+
+
+def structural_atoms(inst: RuleInstance) -> Tuple[RelAtom, ...]:
+    """The atoms that an E, A or U instance adds: E the commuted principal
+    atom, A the two atoms through its fresh label, U the unit atom of its
+    label.  They depend on the instance alone."""
+    if inst.rule is Rule.E:
+        ((x, y, z),) = inst.principal_rels
+        return ((y, x, z),)
+    if inst.rule is Rule.A:
+        (_, y, z), (u, v, _) = inst.principal_rels
+        (w,) = inst.fresh
+        return ((u, w, z), (y, v, w))
+    (w,) = inst.labels
+    return ((w, EPS, w),)
 
 
 def check(deriv: Derivation, cfg: LogicConfig) -> bool:

@@ -47,16 +47,46 @@ explicit stack of pending premises, so branch depth is bounded by
 memory and the limits, not by Python's recursion limit.  Short of a
 wall-clock limit, the search is deterministic: the same goal, logic and
 limits always give the same result.
+
+The proof of a Valid is the subset of the search's steps that its
+closing rules need (relevance, a form of the dependency-directed
+backjumping of Horrocks and Patel-Schneider, 1999).  Each step on the
+current branch keeps a record of what it changed, which Sequent.change
+records as the premise is built: the items it added, or, for a label
+substitution, the preimage of each item it renamed.  E, A and U, most of
+the steps of a long branch, store no change: the search applies them
+only where what they add is new, so calculus.structural_atoms gives it
+from the rule instance.  When a leaf closes, its needs flow back towards
+the root: the principal items of its rule, and the (e, x |> y) atoms
+when that rule takes labels that differ as equal.  A step that added
+something needed is kept, and the needs lose what it added and gain its
+principal items (for U and EM, also an item that holds their label,
+unless a need already does); a step that added nothing needed is
+dropped; a substitution is always kept and maps each need to its
+preimage.  At a branching step, a premise whose needs hold nothing that
+premise added closes the step alone: its subproof also proves the step's
+conclusion, so the step and its earlier premises' subproofs are dropped,
+and its later premises are never searched.  Otherwise the premise's
+needs join the step's.  This is sound because no rule needs an item to
+be absent, and because only steps that add items are dropped, each of
+which keeps the label of any formula it consumes: the proof's sequent at
+each step holds no label that the search's lacks, so a label fresh for
+the search is fresh for the proof.  calculus.check re-runs every proof
+in any case.  Heap logics keep every step (Prover._prune): their rules
+also rename expressions, which the records do not follow.  The records
+of a subtree are freed as its needs flow back, so the search keeps
+records for the current branch only.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
 from itertools import chain
+from types import MappingProxyType
 from typing import Dict, List, Optional, Set, Tuple
 
 from .calculus import (Derivation, Rule, RuleInstance, check, closures,
-                       expand, from_applied)
+                       expand, from_applied, structural_atoms)
 from .config import ConfigError, LogicConfig
 from .formula import EMP, Formula, has_heap, subformulae, subst_expr
 from .heap import find_heap_redex, fresh_expr_name, witnesses
@@ -185,15 +215,24 @@ class Prover:
 
         Each pending premise waits on the stack with the memo and round
         count of its branch; the first premise is popped first, so steps
-        lists the rule instances in depth-first order."""
+        lists the rule instances in depth-first order.  branches holds the
+        open branching steps of the current branch, innermost last, and
+        seg the records of the single-premise steps applied since the
+        innermost one (see _close)."""
         steps: List[RuleInstance] = []
         stack = [(root, set(), 0)]
+        branches: List[_Branch] = []
+        seg = _Segment(0)
         while stack:
             seq, memo, rounds = stack.pop()
+            if branches:
+                seg = branches[-1].next_premise(len(steps))
             while True:
                 inst = closures(seq, self.cfg)
                 if inst is not None:
                     steps.append(inst)
+                    self._close(steps, stack, branches, seg,
+                                _leaf_needs(seq, inst))
                     break
 
                 got = self._norm_step(seq, memo)
@@ -204,8 +243,8 @@ class Prover:
                 if got is not None:
                     inst, memo = got
                     self._tick(seq)
-                    steps.append(inst)
-                    (seq,) = expand(seq, inst, self.cfg)
+                    (premise,) = expand(seq, inst, self.cfg)
+                    seq = self._linear(seq, inst, premise, steps, seg)
                     continue
 
                 inst = self._invertible_branching(seq)
@@ -216,7 +255,7 @@ class Prover:
                     ob = self._obligation(seq, memo, min_score=1)
                     if ob is None:
                         if rounds < self.round_cap:
-                            seq, added = self._structural_round(seq, steps)
+                            seq, added = self._structural_round(seq, steps, seg)
                             if added:
                                 rounds += 1
                                 continue
@@ -233,13 +272,71 @@ class Prover:
                     premises = expand(seq, inst, self.cfg)
                     self._tick(seq)
                     if len(premises) == 1:
-                        steps.append(inst)
-                        (seq,) = premises
+                        seq = self._linear(seq, inst, premises[0], steps, seg)
                         continue
                 steps.append(inst)
+                branches.append(_Branch(seg, len(steps) - 1,
+                                        [self._change(p) for p in premises],
+                                        _label_witness(seq, inst)))
                 stack.extend((p, memo, rounds) for p in reversed(premises))
                 break
         return Valid(Derivation(root, tuple(steps)))
+
+    # -- relevance --------------------------------------------------------------
+
+    @property
+    def _prune(self) -> bool:
+        """Whether relevance may drop steps.  Heap logics are the one
+        exclusion: their rules also rename expressions, which no record
+        follows, so there each step counts as a renaming that keeps every
+        item and is kept."""
+        return not self.cfg.heap_extension
+
+    def _change(self, premise: Sequent):
+        """What a step changed from its conclusion to premise (see the
+        module docstring)."""
+        return premise.change if self._prune else _KEEP
+
+    def _linear(self, seq, inst, premise, steps, seg) -> Sequent:
+        """Record the single-premise step inst from seq to premise: its
+        change, or for U, whose change _Segment derives as for E and A,
+        its label witness."""
+        steps.append(inst)
+        if not (self._prune and inst.rule in _DERIVED):
+            seg.records.append(self._change(premise))
+        elif inst.rule is Rule.U:
+            seg.records.append(_label_witness(seq, inst))
+        return premise
+
+    def _close(self, steps, stack, branches, seg, needs: Set[tuple]) -> None:
+        """Flow the needs of a leaf that just closed back towards the root.
+
+        seg's steps lose every step that adds nothing needed.  Its needs
+        then belong to the premise of the innermost branching step: if
+        they hold nothing that premise added, its subproof proves the
+        step's conclusion, so the step and its earlier premises' subproofs
+        are dropped and its later premises are popped unsearched;
+        otherwise they join the step's needs, and when it has no premise
+        left the step is kept and the flow goes on through the segment
+        before it."""
+        end = len(steps) - 1        # the leaf
+        while True:
+            seg.trim(steps, needs, end, self._prune)
+            if not branches:
+                return
+            b = branches[-1]
+            later = len(b.changes) - b.premise - 1
+            if _pull(needs, b.changes[b.premise]):
+                b.needs |= needs
+                if later:
+                    return
+                needs = b.needs
+                _add_uses(needs, steps[b.at], b.witness)
+            else:
+                del steps[b.at:b.start]
+                del stack[len(stack) - later:]
+            branches.pop()
+            seg, end = b.seg, b.at
 
     # -- phase 2: substitutional rules and commutativity ----------------------
 
@@ -518,14 +615,15 @@ class Prover:
 
     # -- phase 5: structural rounds -------------------------------------------
 
-    def _structural_round(self, seq: Sequent, steps: List[RuleInstance]):
+    def _structural_round(self, seq: Sequent, steps: List[RuleInstance],
+                          seg: "_Segment"):
         added = 0
 
         def apply(inst):
             nonlocal seq, added
             self._tick(seq)
-            steps.append(inst)
-            (seq,) = expand(seq, inst, self.cfg)
+            (premise,) = expand(seq, inst, self.cfg)
+            seq = self._linear(seq, inst, premise, steps, seg)
             added += 1
 
         # associativity, skipping instances whose conclusion already holds
@@ -563,6 +661,147 @@ class Prover:
                 if (y, v, w) in seq.rel or (v, y, w) in seq.rel:
                     return True
         return False
+
+
+# -- relevance records ---------------------------------------------------------
+
+# the change of a step that is kept whatever its premise needs, and maps
+# every needed item to itself
+_KEEP = MappingProxyType({})
+
+# the search applies E, A and U only where what they add is new, so
+# structural_atoms gives their change exactly
+_DERIVED = frozenset((Rule.E, Rule.A, Rule.U))
+
+
+def _principal(inst: RuleInstance) -> List[tuple]:
+    """inst's principal items, formulae tagged with their sides."""
+    return ([("gamma", lf) for lf in inst.principal_gamma]
+            + [("delta", lf) for lf in inst.principal_delta]
+            + list(inst.principal_rels) + list(inst.principal_ineqs))
+
+
+def _add_uses(needs: Set[tuple], inst: RuleInstance, witness) -> None:
+    """Add what inst uses of its conclusion to needs: its principal items
+    and its label witness, unless an item of needs already holds that
+    label."""
+    needs.update(_principal(inst))
+    if witness is not None:
+        (w,) = inst.labels
+        if not any(x[1][0] == w if isinstance(x[0], str) else w in x
+                   for x in needs):
+            needs.add(witness)
+
+
+def _label_witness(seq: Sequent, inst: RuleInstance):
+    """U and EM need their label to occur in seq: one item of seq that
+    holds it, or None when it is e, which always occurs, and for every
+    other rule, which needs only its principal items."""
+    if not inst.labels or inst.labels[0] == EPS:
+        return None
+    (w,) = inst.labels
+    for lf in seq.gamma:
+        if lf[0] == w:
+            return ("gamma", lf)
+    for lf in seq.delta:
+        if lf[0] == w:
+            return ("delta", lf)
+    for q in seq.ineq:
+        if w in q:
+            return q
+    for a in reversed(seq.rel):     # labels made by A are at the back
+        if w in a:
+            return a
+    raise ValueError("label %d does not occur" % w)
+
+
+def _leaf_needs(seq: Sequent, inst: RuleInstance) -> Set[tuple]:
+    """What the zero-premise inst uses of seq: its principal items, and,
+    when it equates labels that differ, the (e, x |> y) atoms that make
+    closures treat them as equal."""
+    needs = set(_principal(inst))
+    labels = {w for (w, _) in chain(inst.principal_gamma, inst.principal_delta)}
+    for q in inst.principal_ineqs:
+        labels.update(q)
+    if inst.rule is Rule.EMP_R:
+        labels.add(EPS)
+    if len(labels) > 1:
+        needs.update(a for a in seq.rel if a[0] == EPS and a[1] != a[2])
+    return needs
+
+
+def _pull(needs: Set[tuple], change) -> bool:
+    """Pull needs back over a step whose premise differs from its
+    conclusion by change, in place.  False, with needs untouched, when the
+    step added nothing needed; a renaming step is always needed."""
+    if isinstance(change, tuple):
+        if needs.isdisjoint(change):
+            return False
+        needs.difference_update(change)
+        return True
+    small, large = (change, needs) if len(change) < len(needs) else (needs, change)
+    moved = [x for x in small if x in large]
+    needs.difference_update(moved)
+    needs.update(change[x] for x in moved)
+    return True
+
+
+class _Segment:
+    """The single-premise steps of a branch since its last branching step,
+    which start at steps[start], and their records in order: what each
+    step changed (Sequent.change), except that where relevance prunes, E,
+    A and U store no change, as calculus.structural_atoms gives it from
+    the instance, and U stores its label witness instead.  A long branch
+    is mostly such structural steps, so it holds little beyond its rule
+    instances."""
+    __slots__ = ("start", "records")
+
+    def __init__(self, start: int):
+        self.start = start
+        self.records: list = []
+
+    def trim(self, steps: List[RuleInstance], needs: Set[tuple], end: int,
+             derive: bool) -> None:
+        """Pull needs back over these steps, steps[start:end], dropping
+        every step that adds nothing needed; derive as Prover._prune."""
+        records = self.records
+        kept = []
+        for i in range(end - 1, self.start - 1, -1):
+            inst, witness = steps[i], None
+            if derive and inst.rule in _DERIVED:
+                change = structural_atoms(inst)
+                if inst.rule is Rule.U:
+                    witness = records.pop()
+            else:
+                change = records.pop()
+            if _pull(needs, change):
+                _add_uses(needs, inst, witness)
+                kept.append(inst)
+        if len(kept) < end - self.start:
+            kept.reverse()
+            steps[self.start:end] = kept
+
+
+class _Branch:
+    """A branching step on the current branch: steps[at], the segment that
+    leads to it, what it changed in each premise, the label witness it
+    needs, the premise being searched, whose subproof starts at
+    steps[start], and the needs of its premises closed so far."""
+    __slots__ = ("seg", "at", "changes", "witness", "premise", "start", "needs")
+
+    def __init__(self, seg: _Segment, at: int, changes: list, witness):
+        self.seg = seg
+        self.at = at
+        self.changes = changes
+        self.witness = witness
+        self.premise = -1
+        self.start = at + 1
+        self.needs: Set[tuple] = set()
+
+    def next_premise(self, start: int) -> _Segment:
+        self.premise += 1
+        self.start = start
+        return _Segment(start)
 
 
 def prove(goal: Formula, cfg: LogicConfig, limits: SearchLimits = SearchLimits()):

@@ -9,6 +9,14 @@ proof search relies on for fairness, and its keys give fast membership
 tests.  A part is never changed once its sequent is built.  Two
 sequents are equal when their parts hold the same items, in any order,
 as the sets of the calculus do.
+
+A sequent also records, in change, how the operation that built it
+changed the sequent it was built from, for the search's relevance
+tracking.  There an atom stands for itself and a labelled formula is
+tagged with its side, as ("gamma", lf) or ("delta", lf).  extend records
+the tuple of the items it added, and subst_label a dict from each item
+it renamed to that item's preimage.  Nothing is diffed: each operation
+records what it does as it builds.  Other constructions record None.
 """
 from __future__ import annotations
 
@@ -26,7 +34,7 @@ LabelledFormula = Tuple[Label, Formula]
 
 
 class Sequent:
-    __slots__ = ("rel", "ineq", "gamma", "delta", "_labels")
+    __slots__ = ("rel", "ineq", "gamma", "delta", "change", "_labels")
     rel: Dict[RelAtom, None]
     ineq: Dict[Ineq, None]
     gamma: Dict[LabelledFormula, None]
@@ -39,6 +47,7 @@ class Sequent:
         self.ineq = dict.fromkeys(ineq)
         self.gamma = dict.fromkeys(gamma)
         self.delta = dict.fromkeys(delta)
+        self.change = None
         self._labels = None         # built on first use
 
     def __eq__(self, other):
@@ -71,15 +80,33 @@ class Sequent:
 
     def extend(self, rel=(), ineq=(), gamma=(), delta=(),
                drop_gamma=(), drop_delta=()) -> "Sequent":
-        """New formulae go to the front of the queues, new atoms to the back."""
+        """New formulae go to the front of the queues, new atoms to the back.
+        The result's change is the tuple of the items that self lacked."""
         g = self.gamma
         d = self.delta
         if drop_gamma:
             g = (lf for lf in g if lf not in drop_gamma)
         if drop_delta:
             d = (lf for lf in d if lf not in drop_delta)
-        return Sequent(chain(self.rel, rel), chain(self.ineq, ineq),
-                       chain(gamma, g), chain(delta, d))
+        out = Sequent(chain(self.rel, rel), chain(self.ineq, ineq),
+                      chain(gamma, g), chain(delta, d))
+        # loops, not comprehensions: a comprehension is a call of its own,
+        # and most of these arguments are empty or hold one item
+        added = []
+        for a in rel:
+            if a not in self.rel:
+                added.append(a)
+        for q in ineq:
+            if q not in self.ineq:
+                added.append(q)
+        for lf in gamma:
+            if lf not in self.gamma:
+                added.append(("gamma", lf))
+        for lf in delta:
+            if lf not in self.delta:
+                added.append(("delta", lf))
+        out.change = tuple(added)
+        return out
 
     def requeue(self, side: str, lf: LabelledFormula) -> "Sequent":
         """Move a formula to the back of its queue (fairness for retained principals)."""
@@ -90,15 +117,19 @@ class Sequent:
         return Sequent(self.rel, self.ineq, self.gamma, d)
 
     def subst_label(self, frm: Label, to: Label) -> "Sequent":
+        """self with every frm replaced by to.  The result's change maps
+        each item that a replacement gives, unless an item of self without
+        frm came first with it, to the first item of self it came from."""
         if frm == to:
             return self
-        m = lambda w: to if w == frm else w
-        return Sequent(
-            rel=((m(x), m(y), m(z)) for (x, y, z) in self.rel),
-            ineq=((m(x), m(y)) for (x, y) in self.ineq),
-            gamma=((m(w), f) for (w, f) in self.gamma),
-            delta=((m(w), f) for (w, f) in self.delta),
-        )
+        out = Sequent()
+        renamed: Dict[tuple, tuple] = {}
+        out.rel = _rename_atoms(self.rel, frm, to, renamed)
+        out.ineq = _rename_atoms(self.ineq, frm, to, renamed)
+        out.gamma = _rename_labelled(self.gamma, "gamma", frm, to, renamed)
+        out.delta = _rename_labelled(self.delta, "delta", frm, to, renamed)
+        out.change = renamed
+        return out
 
     def subst_expr(self, frm: str, to: str) -> "Sequent":
         if frm == to:
@@ -112,6 +143,36 @@ class Sequent:
 
     def __repr__(self) -> str:
         return format_sequent(self)
+
+
+def _rename_atoms(part, frm, to, renamed):
+    """part with frm replaced by to in its atoms, recording preimages in
+    renamed as Sequent.subst_label describes."""
+    out = {}
+    for a in part:
+        if frm in a:
+            b = tuple(to if x == frm else x for x in a)
+            if b not in out:
+                renamed[b] = a
+            out[b] = None
+        else:
+            out[a] = None
+    return out
+
+
+def _rename_labelled(part, tag, frm, to, renamed):
+    """part, the side tag, with its formulae at frm moved to to; as
+    _rename_atoms."""
+    out = {}
+    for lf in part:
+        if lf[0] == frm:
+            b = (to, lf[1])
+            if b not in out:
+                renamed[(tag, b)] = (tag, lf)
+            out[b] = None
+        else:
+            out[lf] = None
+    return out
 
 
 def label_name(w: Label) -> str:

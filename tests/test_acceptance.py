@@ -25,10 +25,19 @@ from pasl.unify import find_redex
 
 DATA = os.path.join(os.path.dirname(pasl.__file__), "data")
 
-# generous wall clocks: the hardest corpus row is allowed ten times its
-# original 49.584s solve time, every other row must finish within 60s
-ROW_BUDGET_S = {"t1-17": 495.84}
+# generous wall clocks: every table-1 row must finish within 60s, every
+# table-2 row within 10s
 DEFAULT_BUDGET_S = 60.0
+
+# proof steps of each corpus row before relevance pruning, which may only
+# shrink a proof
+PROOF_STEPS_BEFORE_PRUNING = {
+    "t1-01": 11, "t1-02": 17, "t1-03": 16, "t1-04": 45, "t1-05": 45,
+    "t1-06": 49, "t1-07": 42, "t1-08": 64, "t1-09": 104, "t1-10": 93,
+    "t1-11": 117, "t1-12": 579, "t1-13": 579, "t1-14": 111, "t1-15": 15,
+    "t1-16": 65, "t1-17": 73220, "t1-18": 25, "t1-19": 7,
+    "t2-01": 5, "t2-02": 11, "t2-03": 32, "t2-04": 18, "t2-05": 14, "t2-06": 14,
+}
 
 
 def report(line):
@@ -39,7 +48,7 @@ def run_corpus():
     out = []
     for path, budget in (("table1.corpus", None), ("table2.corpus", 10.0)):
         for e in load_corpus(os.path.join(DATA, path)):
-            per_row = budget or ROW_BUDGET_S.get(e.id, DEFAULT_BUDGET_S)
+            per_row = budget or DEFAULT_BUDGET_S
             limits = SearchLimits(wall_clock_ms=int(per_row * 1000))
             t0 = time.monotonic()
             v = prove(parse(e.formula), preset(e.cfg), limits)
@@ -56,8 +65,7 @@ def test_benchmark_suite_one(corpus_runs):
     rows = [(e, v, dt) for (e, v, dt) in corpus_runs if e.id.startswith("t1-")]
     assert len(rows) == 19
     bad = [(e.id, type(v).__name__) for (e, v, dt) in rows if not isinstance(v, Valid)]
-    slow = [(e.id, dt) for (e, v, dt) in rows
-            if dt > ROW_BUDGET_S.get(e.id, DEFAULT_BUDGET_S)]
+    slow = [(e.id, dt) for (e, v, dt) in rows if dt > DEFAULT_BUDGET_S]
     # the final row must also close with an indivisible unit instead of
     # full disjointness
     v19 = prove(parse(rows[-1][0].formula), preset("pasl+iu"),
@@ -117,6 +125,19 @@ def test_proof_round_trip(corpus_runs):
     report("proof round trip: %s (%d proofs re-checked, %d failures)"
            % ("PASS" if ok else "FAIL", checked, failures))
     assert ok
+
+
+def test_corpus_proofs_never_grow(corpus_runs):
+    assert {e.id for (e, _, _) in corpus_runs} == set(PROOF_STEPS_BEFORE_PRUNING)
+    grown = [(e.id, v.proof.rule_count() if isinstance(v, Valid) else type(v).__name__)
+             for (e, v, _) in corpus_runs
+             if not (isinstance(v, Valid)
+                     and v.proof.rule_count() <= PROOF_STEPS_BEFORE_PRUNING[e.id])]
+    steps = sum(v.proof.rule_count() for (_, v, _) in corpus_runs if isinstance(v, Valid))
+    report("corpus proof sizes: %s (%d steps, %d before pruning)"
+           % ("PASS" if not grown else "FAIL %r" % grown, steps,
+              sum(PROOF_STEPS_BEFORE_PRUNING.values())))
+    assert not grown
 
 
 # -- random formulas ----------------------------------------------------------

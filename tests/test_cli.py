@@ -33,20 +33,18 @@ GOLDEN = {"text": """\
 Valid
 [->R]  |- a1: a -> emp * a
 [U] a1: a |- a1: emp * a
-[U] (e,e |> e) ; a1: a |- a1: emp * a
-[E] (e,e |> e); (a1,e |> a1) ; a1: a |- a1: emp * a
-[*R] (e,e |> e); (a1,e |> a1); (e,a1 |> a1) ; a1: a |- a1: emp * a
-[empR] (e,e |> e); (a1,e |> a1); (e,a1 |> a1) ; a1: a |- e: emp, a1: emp * a
-[id] (e,e |> e); (a1,e |> a1); (e,a1 |> a1) ; a1: a |- a1: a, a1: emp * a
+[E] (a1,e |> a1) ; a1: a |- a1: emp * a
+[*R] (a1,e |> a1); (e,a1 |> a1) ; a1: a |- a1: emp * a
+[empR] (a1,e |> a1); (e,a1 |> a1) ; a1: a |- e: emp, a1: emp * a
+[id] (a1,e |> a1); (e,a1 |> a1) ; a1: a |- a1: a, a1: emp * a
 """, "tree": """\
 Valid
 [->R]  |- a1: a -> emp * a
   [U] a1: a |- a1: emp * a
-    [U] (e,e |> e) ; a1: a |- a1: emp * a
-      [E] (e,e |> e); (a1,e |> a1) ; a1: a |- a1: emp * a
-        [*R] (e,e |> e); (a1,e |> a1); (e,a1 |> a1) ; a1: a |- a1: emp * a
-          [empR] (e,e |> e); (a1,e |> a1); (e,a1 |> a1) ; a1: a |- e: emp, a1: emp * a
-          [id] (e,e |> e); (a1,e |> a1); (e,a1 |> a1) ; a1: a |- a1: a, a1: emp * a
+    [E] (a1,e |> a1) ; a1: a |- a1: emp * a
+      [*R] (a1,e |> a1); (e,a1 |> a1) ; a1: a |- a1: emp * a
+        [empR] (a1,e |> a1); (e,a1 |> a1) ; a1: a |- e: emp, a1: emp * a
+        [id] (a1,e |> a1); (e,a1 |> a1) ; a1: a |- a1: a, a1: emp * a
 """}
 
 

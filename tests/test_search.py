@@ -1,21 +1,26 @@
 """End-to-end proof search."""
+import os
 import tracemalloc
 
 import pytest
 
+import pasl
 from pasl import countermodel, search
 from pasl.calculus import check
+from pasl.cli import load_corpus
 from pasl.config import ConfigError, preset
 from pasl.formula import parse
 from pasl.oracle import (assignments, check_conditions, find_countermodel, satisfies,
                          sequent_falsifiable)
 from pasl.search import NotProved, Prover, ResourceExhausted, SearchLimits, Valid, prove
+from pasl.sequent import initial_sequent
 from pasl.unify import eq_find
 
 BBI = preset("bbi")
 PASL = preset("pasl")
 PASL_D = preset("pasl+d")
 SEP = preset("separata+")
+DATA = os.path.join(os.path.dirname(pasl.__file__), "data")
 
 THEOREMS_BBI = [
     "a -> a",
@@ -147,8 +152,9 @@ def test_proof_records_keep_no_attribute_dict():
         assert not hasattr(r, "__dict__"), type(r).__name__
 
 
-# a theorem of pasl whose proof has 1,505 steps, so a smaller rule budget
-# runs out whatever the search does with refutable inputs
+# a theorem of pasl whose search takes 1,891 rule applications, so a
+# smaller rule budget runs out whatever the search does with refutable
+# inputs
 REVERSED_STAR = ("(a1 * (a2 * (a3 * (a4 * (a5 * a6))))) -> "
                  "(a6 * (a5 * (a4 * (a3 * (a2 * a1)))))")
 
@@ -187,11 +193,19 @@ def test_rule_budget_covers_the_whole_search(monkeypatch, budget):
     assert expands <= budget
 
 
+def _nest_star(xs):
+    return xs[0] if len(xs) == 1 else "(%s * %s)" % (xs[0], _nest_star(xs[1:]))
+
+
 def test_rule_budget_stops_a_search_that_no_branch_limit_stops():
-    # every branch stays under the budget, so a per-branch count let this
-    # search run until the wall clock; the whole search needs far more
-    f = parse("(((false -> b) * ~a) * (a \\/ (b -* true))) -> "
-              "(((a -* false) * (true -* emp)) -> ((a \\/ b) -> (false * b)))")
+    # andR gives each of forty star reversals its own branch, and one
+    # reversal alone takes 854 rule applications, so every branch stays far
+    # under the budget; the whole search needs 23,357
+    goals = []
+    for i in range(40):
+        xs = ["a%d" % (5 * i + j) for j in range(1, 6)]
+        goals.append("(%s -> %s)" % (_nest_star(xs), _nest_star(xs[::-1])))
+    f = parse(" /\\ ".join(goals))
     limits = SearchLimits(max_rule_apps=20000, max_rel_atoms=800, wall_clock_ms=60000)
     assert prove(f, PASL, limits) == ResourceExhausted("rule applications")
 
@@ -221,6 +235,61 @@ def test_obligations_see_only_normalized_labels(monkeypatch):
     ]:
         prove(parse(s), preset(logic), limits)
     assert {"*R", "-*L", "|->L2", "CS"} <= fired
+
+
+# -- relevance ----------------------------------------------------------------
+
+def test_premise_that_ignores_what_it_added_closes_its_rule():
+    # the first premise of orL gets a1: a, which its subproof never uses
+    # (U, E, *R with empR and topR), so that subproof proves the conclusion
+    # of orL itself: no orL remains, and the second premise is never searched
+    goal = parse("(a \\/ b) -> (emp * true)")
+    p = Prover(BBI)
+    v = p.prove(goal)
+    assert isinstance(v, Valid)
+    assert [s.rule.value for s in v.proof.steps] == ["->R", "U", "E", "*R", "empR", "topR"]
+    assert p.apps == 6
+    assert check(v.proof, BBI)
+
+
+def test_step_that_adds_nothing_needed_is_dropped():
+    # the search splits c /\\ d before it opens a -> a, but id uses
+    # neither c nor d
+    v = prove(parse("(c /\\ d) -> (a -> a)"), BBI)
+    assert [s.rule.value for s in v.proof.steps] == ["->R", "->R", "id"]
+    assert check(v.proof, BBI)
+
+
+def test_t1_17_closes_within_a_small_rule_budget():
+    # before relevance pruning this row took 48,248 rule applications and
+    # its proof had 73,220 steps
+    (row,) = [e for e in load_corpus(os.path.join(DATA, "table1.corpus"))
+              if e.id == "t1-17"]
+    cfg = preset(row.cfg)
+    v = prove(parse(row.formula), cfg, SearchLimits(max_rule_apps=2000))
+    assert isinstance(v, Valid)
+    assert v.proof.rule_count() <= 400
+    assert check(v.proof, cfg)
+
+
+def test_heap_logics_keep_every_step():
+    # heap rules rename expressions, which no relevance record follows, so
+    # Prover._prune excludes the heap logics, and each of their steps
+    # counts as a renaming that is kept: the proof is every step of the
+    # closed search, 1,505 here as before pruning
+    assert not Prover(SEP)._prune
+    assert all(Prover(preset(name))._prune
+               for name in ("bbi", "pasl", "pasl+d", "bbi+s", "bbi+cs"))
+    cells = ["(x%d |-> y%d)" % (i, i) for i in range(1, 7)]
+    goal = parse("%s -> %s" % (_nest_star(cells), _nest_star(cells[::-1])))
+    p = Prover(SEP)
+    v = p.prove(goal)
+    assert isinstance(v, Valid)
+    assert v.proof.rule_count() == 1505
+    assert check(v.proof, SEP)
+    premise = initial_sequent(goal).extend(gamma=[(1, parse("x1 |-> y1"))])
+    assert p._change(premise) is search._KEEP
+    assert Prover(PASL)._change(premise) == premise.change
 
 
 # -- blocking and certified countermodels -------------------------------------

@@ -60,6 +60,30 @@ def test_subst_label_merges_duplicates():
     assert tuple(s2.gamma) == ((2, a),)
 
 
+def test_extend_records_only_what_it_added():
+    # atoms stand for themselves, formulae are tagged with their side
+    a = parse("a")
+    b = parse("b")
+    s = Sequent(rel=((1, 2, 3),), gamma=((1, a),), delta=((1, b),))
+    s2 = s.extend(rel=((1, 2, 3), (2, 1, 3)), ineq=((1, EPS),),
+                  gamma=((1, a), (1, b)), delta=((1, a),), drop_delta=((1, b),))
+    assert s2.change == ((2, 1, 3), (1, EPS), ("gamma", (1, b)), ("delta", (1, a)))
+    assert s.extend().change == ()
+    assert Sequent(rel=((1, 2, 3),)).change is None
+
+
+def test_subst_label_records_preimages():
+    # each renamed item maps to the item it came from; an image that an
+    # unrenamed item already gave is its own preimage
+    a = parse("a")
+    s = Sequent(rel=((1, 2, 3), (1, 4, 3), (4, 4, 5)), ineq=((4, EPS),),
+                gamma=((2, a), (4, a)), delta=((4, a),))
+    s2 = s.subst_label(4, 2)
+    assert tuple(s2.rel) == ((1, 2, 3), (2, 2, 5))
+    assert s2.change == {(2, 2, 5): (4, 4, 5), (2, EPS): (4, EPS),
+                         ("delta", (2, a)): ("delta", (4, a))}
+
+
 def test_subst_expr_rewrites_both_sides():
     s = Sequent(gamma=((1, parse("x |-> y")),), delta=((1, parse("y = z")),))
     s2 = s.subst_expr("y", "w")
