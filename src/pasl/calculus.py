@@ -315,6 +315,8 @@ def expand(seq: Sequent, inst: RuleInstance, cfg: LogicConfig) -> Tuple[Sequent,
     if r in _SUBST_RULES:
         ((frm, to),) = inst.subst
         _need(frm != EPS, "cannot eliminate the identity label")
+        if frm == to:
+            raise RuleError("%s renames a label to itself" % r.value)
         if r in (Rule.EQ1, Rule.EQ2):
             ((x, y, z),) = inst.principal_rels
             _need(x == EPS and {frm, to} == {y, z}, "bad equality atom")

@@ -62,26 +62,32 @@ when that rule takes labels that differ as equal.  A step that added
 something needed is kept, and the needs lose what it added and gain its
 principal items (for U and EM, also an item that holds their label,
 unless a need already does); a step that added nothing needed is
-dropped; a substitution is always kept and maps each need to its
-preimage.  At a branching step, a premise whose needs hold nothing that
-premise added closes the step alone: its subproof also proves the step's
-conclusion, so the step and its earlier premises' subproofs are dropped,
-and its later premises are never searched.  Otherwise the premise's
-needs join the step's.  This is sound because no rule needs an item to
-be absent, and because only steps that add items are dropped, each of
-which keeps the label of any formula it consumes: the proof's sequent at
-each step holds no label that the search's lacks, so a label fresh for
-the search is fresh for the proof.  calculus.check re-runs every proof
-in any case.  Heap logics keep every step (Prover._prune): their rules
-also rename expressions, which the records do not follow.  The records
-of a subtree are freed as its needs flow back, so the search keeps
-records for the current branch only.
+dropped.  A label substitution (Eq1, Eq2, P, C, IU, D) that renamed a
+needed item is kept, and maps each renamed need to its preimage and
+adds its principal atoms; one that renamed nothing needed is dropped
+like a step that added nothing needed.  At a branching step, a premise whose needs
+hold nothing that premise added closes the step alone: its subproof also
+proves the step's conclusion, so the step and its earlier premises'
+subproofs are dropped, and its later premises are never searched.
+Otherwise the premise's needs join the step's.  This is sound because no
+rule needs an item to be absent, because a dropped substitution renamed
+no item that a later step needs, so each kept step finds its items in
+the proof's sequent as the search found them, and because every fresh
+label is fresh for the proof's sequent too: that sequent holds only
+labels that the search's branch has held, perhaps one that a dropped
+substitution removed from the search's sequent, and Sequent.fresh_label
+returns a label above every label the branch has ever held.
+calculus.check re-runs every proof in any case.  Heap logics keep every
+step (Prover._prune): their rules also rename expressions, which the
+records do not follow.  The records of a subtree are freed as its needs
+flow back, so the search keeps records for the current branch only.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
 from itertools import chain
+from operator import is_
 from types import MappingProxyType
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -134,10 +140,13 @@ class _Exhausted(Exception):
 
 def _rewrite_memo(memo: Set[tuple], leaf) -> Set[tuple]:
     """memo with leaf applied to every item of its keys that is not a
-    tuple; tuples are walked into."""
+    tuple; tuples are walked into.  leaf returns an item it does not
+    change as it is, and so does walk a tuple, so the keys that the
+    rewrite leaves alone are shared with memo, not copied."""
     def walk(x):
         if isinstance(x, tuple):
-            return tuple(walk(e) for e in x)
+            out = [walk(e) for e in x]
+            return x if all(map(is_, out, x)) else tuple(out)
         return leaf(x)
     return {walk(key) for key in memo}
 
@@ -733,14 +742,18 @@ def _leaf_needs(seq: Sequent, inst: RuleInstance) -> Set[tuple]:
 def _pull(needs: Set[tuple], change) -> bool:
     """Pull needs back over a step whose premise differs from its
     conclusion by change, in place.  False, with needs untouched, when the
-    step added nothing needed; a renaming step is always needed."""
+    step added or renamed nothing needed; _KEEP is always needed."""
     if isinstance(change, tuple):
         if needs.isdisjoint(change):
             return False
         needs.difference_update(change)
         return True
+    if change is _KEEP:
+        return True
     small, large = (change, needs) if len(change) < len(needs) else (needs, change)
     moved = [x for x in small if x in large]
+    if not moved:
+        return False
     needs.difference_update(moved)
     needs.update(change[x] for x in moved)
     return True

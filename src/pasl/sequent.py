@@ -17,6 +17,15 @@ tagged with its side, as ("gamma", lf) or ("delta", lf).  extend records
 the tuple of the items it added, and subst_label a dict from each item
 it renamed to that item's preimage.  Nothing is diffed: each operation
 records what it does as it builds.  Other constructions record None.
+
+A sequent also carries top, the largest label its branch has ever held.
+A sequent built directly computes it from its items; extend raises it to
+the largest label it adds, and every other operation copies it, so a
+label substitution that removes the largest label leaves top where it
+was.  fresh_label returns top + 1: a fresh label never reuses the number
+of a label that a substitution removed, so it is also fresh for every
+sequent of the branch before that substitution.  The search's relevance
+tracking relies on this when it drops a substitution from a proof.
 """
 from __future__ import annotations
 
@@ -34,7 +43,7 @@ LabelledFormula = Tuple[Label, Formula]
 
 
 class Sequent:
-    __slots__ = ("rel", "ineq", "gamma", "delta", "change", "_labels")
+    __slots__ = ("rel", "ineq", "gamma", "delta", "change", "top", "_labels")
     rel: Dict[RelAtom, None]
     ineq: Dict[Ineq, None]
     gamma: Dict[LabelledFormula, None]
@@ -49,6 +58,10 @@ class Sequent:
         self.delta = dict.fromkeys(delta)
         self.change = None
         self._labels = None         # built on first use
+        self.top = max(chain(chain.from_iterable(self.rel),
+                             chain.from_iterable(self.ineq),
+                             (w for (w, _) in self.gamma),
+                             (w for (w, _) in self.delta)), default=EPS)
 
     def __eq__(self, other):
         if not isinstance(other, Sequent):
@@ -76,35 +89,45 @@ class Sequent:
         return self._labels
 
     def fresh_label(self) -> Label:
-        return max(self.labels) + 1
+        return self.top + 1
 
     def extend(self, rel=(), ineq=(), gamma=(), delta=(),
                drop_gamma=(), drop_delta=()) -> "Sequent":
         """New formulae go to the front of the queues, new atoms to the back.
-        The result's change is the tuple of the items that self lacked."""
+        The result's change is the tuple of the items that self lacked,
+        and its top the largest label of self's top and those items."""
         g = self.gamma
         d = self.delta
         if drop_gamma:
             g = (lf for lf in g if lf not in drop_gamma)
         if drop_delta:
             d = (lf for lf in d if lf not in drop_delta)
-        out = Sequent(chain(self.rel, rel), chain(self.ineq, ineq),
-                      chain(gamma, g), chain(delta, d))
         # loops, not comprehensions: a comprehension is a call of its own,
         # and most of these arguments are empty or hold one item
         added = []
+        top = self.top
         for a in rel:
             if a not in self.rel:
                 added.append(a)
+                top = max(top, *a)
         for q in ineq:
             if q not in self.ineq:
                 added.append(q)
+                top = max(top, *q)
         for lf in gamma:
             if lf not in self.gamma:
                 added.append(("gamma", lf))
+                if lf[0] > top:
+                    top = lf[0]
         for lf in delta:
             if lf not in self.delta:
                 added.append(("delta", lf))
+                if lf[0] > top:
+                    top = lf[0]
+        out = _built(dict.fromkeys(chain(self.rel, rel)),
+                     dict.fromkeys(chain(self.ineq, ineq)),
+                     dict.fromkeys(chain(gamma, g)),
+                     dict.fromkeys(chain(delta, d)), top)
         out.change = tuple(added)
         return out
 
@@ -112,37 +135,52 @@ class Sequent:
         """Move a formula to the back of its queue (fairness for retained principals)."""
         if side == "gamma":
             g = chain((x for x in self.gamma if x != lf), (lf,))
-            return Sequent(self.rel, self.ineq, g, self.delta)
+            return _built(dict(self.rel), dict(self.ineq), dict.fromkeys(g),
+                          dict(self.delta), self.top)
         d = chain((x for x in self.delta if x != lf), (lf,))
-        return Sequent(self.rel, self.ineq, self.gamma, d)
+        return _built(dict(self.rel), dict(self.ineq), dict(self.gamma),
+                      dict.fromkeys(d), self.top)
 
     def subst_label(self, frm: Label, to: Label) -> "Sequent":
         """self with every frm replaced by to.  The result's change maps
         each item that a replacement gives, unless an item of self without
-        frm came first with it, to the first item of self it came from."""
+        frm came first with it, to the first item of self it came from.
+        Its top is self's, even when frm was the largest label."""
         if frm == to:
             return self
-        out = Sequent()
         renamed: Dict[tuple, tuple] = {}
-        out.rel = _rename_atoms(self.rel, frm, to, renamed)
-        out.ineq = _rename_atoms(self.ineq, frm, to, renamed)
-        out.gamma = _rename_labelled(self.gamma, "gamma", frm, to, renamed)
-        out.delta = _rename_labelled(self.delta, "delta", frm, to, renamed)
+        out = _built(_rename_atoms(self.rel, frm, to, renamed),
+                     _rename_atoms(self.ineq, frm, to, renamed),
+                     _rename_labelled(self.gamma, "gamma", frm, to, renamed),
+                     _rename_labelled(self.delta, "delta", frm, to, renamed),
+                     self.top)
         out.change = renamed
         return out
 
     def subst_expr(self, frm: str, to: str) -> "Sequent":
         if frm == to:
             return self
-        return Sequent(
-            rel=self.rel,
-            ineq=self.ineq,
-            gamma=((w, subst_expr(f, frm, to)) for (w, f) in self.gamma),
-            delta=((w, subst_expr(f, frm, to)) for (w, f) in self.delta),
-        )
+        return _built(dict(self.rel), dict(self.ineq),
+                      dict.fromkeys((w, subst_expr(f, frm, to)) for (w, f) in self.gamma),
+                      dict.fromkeys((w, subst_expr(f, frm, to)) for (w, f) in self.delta),
+                      self.top)
 
     def __repr__(self) -> str:
         return format_sequent(self)
+
+
+def _built(rel, ineq, gamma, delta, top: Label) -> Sequent:
+    """A sequent of these parts, dicts that no other sequent holds, whose
+    top is given, not computed."""
+    out = Sequent.__new__(Sequent)
+    out.rel = rel
+    out.ineq = ineq
+    out.gamma = gamma
+    out.delta = delta
+    out.change = None
+    out._labels = None
+    out.top = top
+    return out
 
 
 def _rename_atoms(part, frm, to, renamed):

@@ -1,4 +1,6 @@
 """Rule engine: expansion, closure finding, derivation checking."""
+import os
+
 import pytest
 
 import pasl.formula
@@ -6,6 +8,7 @@ from pasl.calculus import (
     Derivation, Rule, RuleError, RuleInstance, check, closures, expand,
     from_applied, rule_enabled,
 )
+from pasl.cli import load_corpus
 from pasl.config import preset
 from pasl.formula import EMP, TOP, parse
 from pasl.search import Valid, prove
@@ -18,6 +21,7 @@ PASL_D = preset("pasl+d")
 BBI_S = preset("bbi+s")
 BBI_CS = preset("bbi+cs")
 SEP = preset("separata+")
+DATA = os.path.join(os.path.dirname(pasl.formula.__file__), "data")
 
 
 def close(seq, cfg):
@@ -118,6 +122,20 @@ def test_substitution_rules_validate_their_atoms():
     bad = RuleInstance(Rule.IU, principal_rels=((EPS, 1, EPS),), subst=((EPS, EPS),))
     with pytest.raises(RuleError):
         expand(Sequent(rel=((EPS, 1, EPS),)), bad, PASL_D)
+
+
+def test_substitution_rules_refuse_to_rename_a_label_to_itself():
+    # subst_label(x, x) returns its sequent as it is, change and all, so
+    # such an instance would carry a record of some other step
+    s = Sequent(rel=((1, 2, 3), (EPS, 3, 3)))
+    for inst in (RuleInstance(Rule.P, principal_rels=((1, 2, 3), (1, 2, 3)),
+                              subst=((3, 3),)),
+                 RuleInstance(Rule.C, principal_rels=((1, 2, 3), (1, 2, 3)),
+                              subst=((2, 2),)),
+                 RuleInstance(Rule.EQ1, principal_rels=((EPS, 3, 3),),
+                              subst=((3, 3),))):
+        with pytest.raises(RuleError, match="renames a label to itself"):
+            expand(s, inst, PASL)
 
 
 def test_from_applied_round_trip():
@@ -307,19 +325,27 @@ def _parts(seq):
 
 def test_rule_applications_never_change_their_conclusion():
     # a sequent's parts are dicts, so guard that expand only reads them:
-    # replay a proof of a pasl+d star permutation as check does, and
-    # compare every sequent met against its parts as they were when built
-    goal = parse("(a1 * (a2 * (a3 * (a4 * a5)))) -> (a3 * (a5 * (a1 * (a4 * a2))))")
-    verdict = prove(goal, PASL_D)
-    assert isinstance(verdict, Valid)
-    seen = [(verdict.proof.conclusion, _parts(verdict.proof.conclusion))]
-    pending = [verdict.proof.conclusion]
-    for inst in verdict.proof.steps:
-        seq = pending.pop()
-        before = _parts(seq)
-        premises = expand(seq, inst, PASL_D)
-        assert _parts(seq) == before, inst.rule
-        seen.extend((p, _parts(p)) for p in premises)
-        pending.extend(reversed(premises))
-    assert not pending and len(seen) > 100
+    # replay a proof of a pasl+d star permutation and every shipped corpus
+    # proof as check does, and compare every sequent met against its parts
+    # as they were when built
+    goals = [(parse("(a1 * (a2 * (a3 * (a4 * a5)))) -> (a3 * (a5 * (a1 * (a4 * a2))))"),
+              PASL_D)]
+    for path in ("table1.corpus", "table2.corpus"):
+        goals.extend((parse(e.formula), preset(e.cfg))
+                     for e in load_corpus(os.path.join(DATA, path)))
+    seen = []
+    for goal, cfg in goals:
+        verdict = prove(goal, cfg)
+        assert isinstance(verdict, Valid)
+        seen.append((verdict.proof.conclusion, _parts(verdict.proof.conclusion)))
+        pending = [verdict.proof.conclusion]
+        for inst in verdict.proof.steps:
+            seq = pending.pop()
+            before = _parts(seq)
+            premises = expand(seq, inst, cfg)
+            assert _parts(seq) == before, inst.rule
+            seen.extend((p, _parts(p)) for p in premises)
+            pending.extend(reversed(premises))
+        assert not pending
+    assert len(seen) > 100
     assert all(_parts(s) == snapshot for s, snapshot in seen)

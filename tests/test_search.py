@@ -1,12 +1,13 @@
 """End-to-end proof search."""
 import os
+import random
 import tracemalloc
 
 import pytest
 
 import pasl
 from pasl import countermodel, search
-from pasl.calculus import check
+from pasl.calculus import check, expand
 from pasl.cli import load_corpus
 from pasl.config import ConfigError, preset
 from pasl.formula import parse
@@ -260,15 +261,77 @@ def test_step_that_adds_nothing_needed_is_dropped():
     assert check(v.proof, BBI)
 
 
+@pytest.mark.parametrize("s,logic,steps", [
+    # P merges the two compositions of a label pair, but no later step
+    # uses an item that either P renamed: the proof keeps 18 of the
+    # search's 30 steps, and neither P
+    ("(a * (b * (c * d))) -> (d * (c * (b * a)))", "bbi+p",
+     ["->R", "*L", "E", "*L", "E", "*L", "E", "A", "E", "A", "E",
+      "*R", "id", "*R", "id", "*R", "id", "id"]),
+    # the two Eq2 steps rename what *L and empL added, and the proof
+    # needs none of it
+    ("(b * emp) -> (emp -> emp)", "pasl+d", ["->R", "->R", "empL", "empR"]),
+])
+def test_substitution_that_renames_nothing_needed_is_dropped(s, logic, steps):
+    cfg = preset(logic)
+    v = prove(parse(s), cfg)
+    assert isinstance(v, Valid)
+    assert [x.rule.value for x in v.proof.steps] == steps
+    assert check(v.proof, cfg)
+
+
+def test_labels_of_a_proof_stay_at_most_its_sequents_top():
+    # a proof that drops a substitution may hold a label that the
+    # search's sequent lost; top still counts it, so a fresh label is
+    # fresh for the proof's sequent too
+    rng = random.Random(20261019)
+    leaves = ("a", "b", "true", "false", "emp")
+    ops = ("/\\", "\\/", "->", "*", "-*")
+
+    def formula(depth):
+        if depth == 0 or rng.random() < 0.25:
+            return rng.choice(leaves)
+        if rng.random() < 0.2:
+            return "~%s" % formula(depth - 1)
+        return "(%s %s %s)" % (formula(depth - 1), rng.choice(ops), formula(depth - 1))
+
+    met = proofs = 0
+    for logic in ("pasl+d", "bbi+c"):
+        cfg = preset(logic)
+        for _ in range(150):
+            v = prove(parse("%s -> %s" % (formula(3), formula(3))), cfg, FLEET_LIMITS)
+            if not isinstance(v, Valid):
+                continue
+            proofs += 1
+            pending = [v.proof.conclusion]
+            for inst in v.proof.steps:
+                seq = pending.pop()
+                assert max(seq.labels) <= seq.top, (logic, seq)
+                met += 1
+                pending.extend(reversed(expand(seq, inst, cfg)))
+    assert proofs > 100 and met > 500
+
+
+def test_rewritten_memo_shares_the_keys_it_leaves_alone():
+    # each pending premise keeps its own memo, so a key that a label
+    # substitution does not touch is not rebuilt
+    a = parse("a -* b")
+    kept, moved = ("-*L", (1, a), (2, 1, 3)), ("-*L", (4, a), (2, 4, 5))
+    out = search._rewrite_memo_label({kept, moved}, 4, 1)
+    assert out == {kept, ("-*L", (1, a), (2, 1, 5))}
+    assert any(k is kept for k in out)
+    assert not any(k is moved for k in out)
+
+
 def test_t1_17_closes_within_a_small_rule_budget():
     # before relevance pruning this row took 48,248 rule applications and
-    # its proof had 73,220 steps
+    # its proof had 73,220 steps; keeping every substitution, 50
     (row,) = [e for e in load_corpus(os.path.join(DATA, "table1.corpus"))
               if e.id == "t1-17"]
     cfg = preset(row.cfg)
     v = prove(parse(row.formula), cfg, SearchLimits(max_rule_apps=2000))
     assert isinstance(v, Valid)
-    assert v.proof.rule_count() <= 400
+    assert v.proof.rule_count() <= 40
     assert check(v.proof, cfg)
 
 

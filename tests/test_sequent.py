@@ -52,6 +52,30 @@ def test_labels_and_fresh():
     assert s.fresh_label() == 7
 
 
+def test_top_is_the_largest_label_the_branch_has_held():
+    # built directly, a sequent computes top from its items, without
+    # building its label set; extend raises it to what it adds
+    s = Sequent(rel=((1, 2, 3),), ineq=((4, EPS),), delta=((6, parse("a")),))
+    assert s.top == 6 and s._labels is None
+    assert Sequent().top == EPS
+    assert s.extend(rel=((7, 1, 2),)).top == 7
+    assert s.extend(gamma=((8, parse("b")),)).top == 8
+    assert s.extend(rel=((1, 2, 3),), ineq=((5, EPS),)).top == 6
+    assert s.requeue("delta", (6, parse("a"))).top == 6
+    assert s.subst_expr("x", "y").top == 6
+
+
+def test_fresh_label_never_reuses_a_removed_label():
+    # the substitution removes 6, the largest label; a fresh label above
+    # the remaining ones would be 6 again, fresh for the premise but not
+    # for the conclusion
+    s = Sequent(rel=((1, 2, 3),), ineq=((4, EPS),), delta=((6, parse("a")),))
+    s2 = s.subst_label(6, 3)
+    assert max(s2.labels) == 4
+    assert s2.top == 6 and s2.fresh_label() == 7
+    assert s2.extend(rel=((2, 1, 3),)).fresh_label() == 7
+
+
 def test_subst_label_merges_duplicates():
     a = parse("a")
     s = Sequent(rel=((1, 2, 3), (1, 4, 3)), gamma=((2, a), (4, a)))
