@@ -50,7 +50,6 @@ def load_corpus(path: str) -> List[CorpusEntry]:
 
 def _limits(args) -> SearchLimits:
     return SearchLimits(
-        max_structural_rounds=args.max_rounds,
         max_rule_apps=args.max_apps,
         wall_clock_ms=args.timeout_ms,
     )
@@ -59,8 +58,6 @@ def _limits(args) -> SearchLimits:
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
     defaults = SearchLimits()
     p.add_argument("--logic", default="bbi", help="logic preset, e.g. bbi, pasl+d, separata+")
-    p.add_argument("--max-rounds", type=int, default=defaults.max_structural_rounds,
-                   metavar="N")
     p.add_argument("--max-apps", type=int, default=defaults.max_rule_apps, metavar="N",
                    help="rule applications allowed in the whole search (default %(default)s)")
     p.add_argument("--timeout-ms", type=int, default=None, metavar="N")

@@ -4,7 +4,8 @@ The strategy works in phases on each branch:
 
 1. close the branch with a zero-premise rule if possible;
 2. eliminate label and heap-expression redexes (substitutional rules)
-   and keep the relation closed under commutativity;
+   one at a time, then close the relation under commutativity, every
+   missing twin at once;
 3. apply invertible logical rules, unary ones first;
 4. discharge star-right / wand-left obligations against relational
    atoms whose component labels already carry the matching subformulas,
@@ -102,9 +103,15 @@ from .sequent import EPS, Sequent, initial_sequent
 from .unify import find_redex
 
 
+# The structural-round caps, deepened gradually: saturating the composition
+# relation is explosive, and most proofs close after a couple of rounds.  A
+# branch that saturates without pending work is open whatever the cap, so
+# the caps never change a NotProved.
+_ROUND_CAPS = (1, 2, 3, 4, 6, 8, 12)
+
+
 @dataclass(frozen=True, slots=True)
 class SearchLimits:
-    max_structural_rounds: int = 12
     max_rule_apps: int = 200000        # over the whole search, every round cap
     max_rel_atoms: int = 5000          # per-sequent composition atom budget
     wall_clock_ms: Optional[int] = None
@@ -180,28 +187,17 @@ class Prover:
     def prove(self, goal: Formula):
         if has_heap(goal) and not self.cfg.heap_extension:
             raise ConfigError("formula uses heap atoms; pick a heap-enabled logic")
-        return self.prove_sequent(initial_sequent(goal), goal)
-
-    def prove_sequent(self, seq: Sequent, goal: Optional[Formula] = None):
-        """The verdict on seq.  goal is the formula seq is the initial
-        sequent of, if any: an open branch may then refute it."""
         if self.limits.wall_clock_ms is not None:
             self.deadline = time.monotonic() + self.limits.wall_clock_ms / 1000.0
-        # Deepen the structural round budget gradually: saturating the
-        # composition relation is explosive, and most proofs close after a
-        # couple of rounds.  A branch that saturates without pending work is
-        # open regardless of the budget, so this never changes NotProved.
-        top = self.limits.max_structural_rounds
-        caps = [c for c in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64) if c < top]
-        caps.append(top)
         self.apps = 0
         self.goal = goal
-        for cap in caps:
+        seq = initial_sequent(goal)
+        for cap in _ROUND_CAPS:
             self.round_cap = cap
             try:
                 verdict = self._search(seq)
             except _Exhausted as e:
-                if e.limit == "structural rounds" and cap != top:
+                if e.limit == "structural rounds" and cap != _ROUND_CAPS[-1]:
                     continue
                 return ResourceExhausted(e.limit)
             if isinstance(verdict, Valid):
@@ -248,12 +244,13 @@ class Prover:
                 if got is None:
                     inst = self._invertible_unary(seq)
                     if inst is not None:
-                        got = (inst, memo)
+                        got = (inst,), memo
                 if got is not None:
-                    inst, memo = got
-                    self._tick(seq)
-                    (premise,) = expand(seq, inst, self.cfg)
-                    seq = self._linear(seq, inst, premise, steps, seg)
+                    insts, memo = got
+                    for inst in insts:
+                        self._tick(seq)
+                        (premise,) = expand(seq, inst, self.cfg)
+                        seq = self._linear(seq, inst, premise, steps, seg)
                     continue
 
                 inst = self._invertible_branching(seq)
@@ -350,17 +347,23 @@ class Prover:
     # -- phase 2: substitutional rules and commutativity ----------------------
 
     def _norm_step(self, seq: Sequent, memo: Set[tuple]):
+        """The next normalization steps, to be applied in order, and the
+        memo after them; None when seq is normal.  That is one label or
+        heap redex, or once none is left, E on every atom whose twin seq
+        lacks, in relation order.  E adds only that twin, which is not in
+        seq, so no step of the batch is redundant or makes another's
+        principal atom."""
         red = find_redex(seq, self.cfg)
         if red is not None:
             frm, to = red.subst
-            return from_applied(red), _rewrite_memo_label(memo, frm, to)
+            return (from_applied(red),), _rewrite_memo_label(memo, frm, to)
         hr = find_heap_redex(seq, self.cfg)
         if hr is not None:
-            return hr, self._memo_after_heap(hr, memo)
-        for a in seq.rel:
-            if (a[1], a[0], a[2]) not in seq.rel:
-                return RuleInstance(Rule.E, principal_rels=(a,)), memo
-        return None
+            return (hr,), self._memo_after_heap(hr, memo)
+        rel = seq.rel
+        comm = tuple(RuleInstance(Rule.E, principal_rels=(a,))
+                     for a in rel if (a[1], a[0], a[2]) not in rel)
+        return (comm, memo) if comm else None
 
     def _memo_after_heap(self, inst, memo):
         if inst.rule is Rule.MAPSTO_L3:
@@ -618,8 +621,6 @@ class Prover:
         """A certified countermodel of the goal read off the open branch
         seq, with each label in merge merged into the one it maps to, or
         None."""
-        if self.goal is None:
-            return None
         return branch_countermodel(seq, merge, self.goal, self.cfg)
 
     # -- phase 5: structural rounds -------------------------------------------
@@ -655,11 +656,6 @@ class Prover:
         for w in sorted(seq.labels):
             if (w, EPS, w) not in seq.rel:
                 apply(RuleInstance(Rule.U, labels=(w,)))
-
-        # close the new atoms under commutativity right away
-        for a in list(seq.rel):
-            if (a[1], a[0], a[2]) not in seq.rel:
-                apply(RuleInstance(Rule.E, principal_rels=(a,)))
 
         return seq, added
 

@@ -130,7 +130,8 @@ def test_check_model_deep_formula(tmp_path, capsys):
 
 
 def test_prove_exhausted(capsys):
-    # a pasl theorem whose proof has 1,505 steps, more than the budget
+    # a pasl theorem whose search takes 1,373 rule applications, more
+    # than the budget
     f = "(a1 * (a2 * (a3 * (a4 * (a5 * a6))))) -> (a6 * (a5 * (a4 * (a3 * (a2 * a1)))))"
     code, out, _ = run(capsys, "prove", f, "--logic", "pasl", "--max-apps", "200")
     assert code == 2

@@ -7,14 +7,14 @@ import pytest
 
 import pasl
 from pasl import countermodel, search
-from pasl.calculus import check, expand
+from pasl.calculus import Rule, check, expand
 from pasl.cli import load_corpus
 from pasl.config import ConfigError, preset
 from pasl.formula import parse
 from pasl.oracle import (assignments, check_conditions, find_countermodel, satisfies,
                          sequent_falsifiable)
 from pasl.search import NotProved, Prover, ResourceExhausted, SearchLimits, Valid, prove
-from pasl.sequent import initial_sequent
+from pasl.sequent import Sequent, initial_sequent
 from pasl.unify import eq_find
 
 BBI = preset("bbi")
@@ -110,13 +110,6 @@ def test_resource_exhaustion_reports_limit():
     assert isinstance(v, ResourceExhausted)
 
 
-def test_prover_accepts_sequents_directly():
-    from pasl.sequent import initial_sequent
-    p = Prover(BBI)
-    v = p.prove_sequent(initial_sequent(parse("a -> a")))
-    assert isinstance(v, Valid)
-
-
 def test_search_is_reproducible():
     f = parse("(a * (b * c)) -> ((a * b) * c)")
     v1 = prove(f, PASL)
@@ -153,7 +146,7 @@ def test_proof_records_keep_no_attribute_dict():
         assert not hasattr(r, "__dict__"), type(r).__name__
 
 
-# a theorem of pasl whose search takes 1,891 rule applications, so a
+# a theorem of pasl whose search takes 1,373 rule applications, so a
 # smaller rule budget runs out whatever the search does with refutable
 # inputs
 REVERSED_STAR = ("(a1 * (a2 * (a3 * (a4 * (a5 * a6))))) -> "
@@ -177,8 +170,9 @@ def test_rule_budget_bounds_what_the_search_retains():
 
 @pytest.mark.parametrize("budget", [100, 300, 1000])
 def test_rule_budget_covers_the_whole_search(monkeypatch, budget):
-    # a branching search that needs more than the budget: every premise's
-    # branch and every structural-round cap draw on one count
+    # a branching search that needs more than the budget, 1,658 rule
+    # applications in bbi+p: every premise's branch and every
+    # structural-round cap draw on one count
     expands = 0
     orig = search.expand
 
@@ -188,8 +182,8 @@ def test_rule_budget_covers_the_whole_search(monkeypatch, budget):
         return orig(*args)
 
     monkeypatch.setattr(search, "expand", counted)
-    f = parse("~(true -* ~emp) * ~(true -* ~emp) -> ~(true -* ~emp)")
-    v = prove(f, preset("bbi+p"), SearchLimits(max_rule_apps=budget))
+    v = prove(parse(REVERSED_STAR), preset("bbi+p"),
+              SearchLimits(max_rule_apps=budget))
     assert v == ResourceExhausted("rule applications")
     assert expands <= budget
 
@@ -199,16 +193,50 @@ def _nest_star(xs):
 
 
 def test_rule_budget_stops_a_search_that_no_branch_limit_stops():
-    # andR gives each of forty star reversals its own branch, and one
-    # reversal alone takes 854 rule applications, so every branch stays far
-    # under the budget; the whole search needs 23,357
+    # andR gives each of sixty star reversals its own branch, and one
+    # reversal alone takes 646 rule applications, so every branch stays far
+    # under the budget; the whole search needs 23,361
     goals = []
-    for i in range(40):
+    for i in range(60):
         xs = ["a%d" % (5 * i + j) for j in range(1, 6)]
         goals.append("(%s -> %s)" % (_nest_star(xs), _nest_star(xs[::-1])))
     f = parse(" /\\ ".join(goals))
     limits = SearchLimits(max_rule_apps=20000, max_rel_atoms=800, wall_clock_ms=60000)
     assert prove(f, PASL, limits) == ResourceExhausted("rule applications")
+
+
+def test_structural_rounds_apply_only_associativity_and_units(monkeypatch):
+    # commutativity is normalization's: a round adds A and U atoms, and the
+    # next normalization step commutes what survives its label merges
+    applied = []
+    orig = Prover._structural_round
+
+    def spied(self, seq, steps, seg):
+        start = len(steps)
+        out = orig(self, seq, steps, seg)
+        applied.extend(inst.rule for inst in steps[start:])
+        return out
+
+    monkeypatch.setattr(Prover, "_structural_round", spied)
+    p = Prover(PASL)
+    assert isinstance(p.prove(parse(REVERSED_STAR)), Valid)
+    assert applied and set(applied) <= {Rule.A, Rule.U}
+    assert p.apps <= 1400
+
+
+def test_normalization_commutes_every_atom_at_once():
+    # with no label redex left, one normalization step returns E on every
+    # atom whose twin is missing, in relation order
+    rel = [(1, 2, 3), (4, 5, 6), (8, 9, 10), (9, 8, 10), (1, 4, 7)]
+    seq = Sequent(rel=rel, gamma=[(3, parse("a"))], delta=[(7, parse("b"))])
+    memo = {("S", (1, 0))}
+    insts, out = Prover(BBI)._norm_step(seq, memo)
+    assert out is memo
+    assert [(i.rule, i.principal_rels) for i in insts] == [
+        (Rule.E, ((1, 2, 3),)), (Rule.E, ((4, 5, 6),)), (Rule.E, ((1, 4, 7),))]
+    for inst in insts:
+        (seq,) = expand(seq, inst, BBI)
+    assert Prover(BBI)._norm_step(seq, memo) is None
 
 
 def test_obligations_see_only_normalized_labels(monkeypatch):
@@ -339,7 +367,7 @@ def test_heap_logics_keep_every_step():
     # heap rules rename expressions, which no relevance record follows, so
     # Prover._prune excludes the heap logics, and each of their steps
     # counts as a renaming that is kept: the proof is every step of the
-    # closed search, 1,505 here as before pruning
+    # closed search, 1,011 here
     assert not Prover(SEP)._prune
     assert all(Prover(preset(name))._prune
                for name in ("bbi", "pasl", "pasl+d", "bbi+s", "bbi+cs"))
@@ -348,7 +376,7 @@ def test_heap_logics_keep_every_step():
     p = Prover(SEP)
     v = p.prove(goal)
     assert isinstance(v, Valid)
-    assert v.proof.rule_count() == 1505
+    assert v.proof.rule_count() == 1011
     assert check(v.proof, SEP)
     premise = initial_sequent(goal).extend(gamma=[(1, parse("x1 |-> y1"))])
     assert p._change(premise) is search._KEEP
