@@ -606,22 +606,18 @@ class Prover:
         blocked = _still_blocked(merge, memo)
         if (blocked and self._fresh_label_obligation(seq, memo, frozenset())
                 is not None):
-            model = self._countermodel(seq, merge)
+            model = branch_countermodel(seq, merge, self.goal, self.cfg)
             if model is not None:
                 return NotProved(seq, model), memo
             return None, memo.union(("unblock", w) for w in blocked)
         if rounds < self.round_cap:
-            return NotProved(seq, self._countermodel(seq, merge)), memo
-        model = self._countermodel(seq, self._blockers(seq, cap_end=True))
+            model = branch_countermodel(seq, merge, self.goal, self.cfg)
+            return NotProved(seq, model), memo
+        model = branch_countermodel(seq, self._blockers(seq, cap_end=True),
+                                    self.goal, self.cfg)
         if model is not None:
             return NotProved(seq, model), memo
         raise _Exhausted("structural rounds")
-
-    def _countermodel(self, seq: Sequent, merge: Dict[int, int]):
-        """A certified countermodel of the goal read off the open branch
-        seq, with each label in merge merged into the one it maps to, or
-        None."""
-        return branch_countermodel(seq, merge, self.goal, self.cfg)
 
     # -- phase 5: structural rounds -------------------------------------------
 

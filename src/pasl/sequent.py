@@ -18,14 +18,18 @@ the tuple of the items it added, and subst_label a dict from each item
 it renamed to that item's preimage.  Nothing is diffed: each operation
 records what it does as it builds.  Other constructions record None.
 
-A sequent also carries top, the largest label its branch has ever held.
-A sequent built directly computes it from its items; extend raises it to
-the largest label it adds, and every other operation copies it, so a
-label substitution that removes the largest label leaves top where it
-was.  fresh_label returns top + 1: a fresh label never reuses the number
-of a label that a substitution removed, so it is also fresh for every
-sequent of the branch before that substitution.  The search's relevance
-tracking relies on this when it drops a substitution from a proof.
+Every sequent carries labels, the frozenset of e and the labels of its
+items, and top, the largest label its branch has ever held.  A sequent
+built directly computes both from its items; extend adds the labels of
+the items it adds and raises top to the largest, subst_label swaps its
+label in labels, and every other operation passes both on.  So a label
+substitution that removes the largest label leaves top where it was.
+fresh_label returns top + 1: a fresh label never reuses the number of a
+label that a substitution removed, so it is also fresh for every sequent
+of the branch before that substitution.  The search's relevance tracking
+relies on this when it drops a substitution from a proof.  As no part is
+ever changed, an operation's result holds each part and label set that
+the operation leaves alone as its operand's own object.
 """
 from __future__ import annotations
 
@@ -43,11 +47,12 @@ LabelledFormula = Tuple[Label, Formula]
 
 
 class Sequent:
-    __slots__ = ("rel", "ineq", "gamma", "delta", "change", "top", "_labels")
+    __slots__ = ("rel", "ineq", "gamma", "delta", "change", "labels", "top")
     rel: Dict[RelAtom, None]
     ineq: Dict[Ineq, None]
     gamma: Dict[LabelledFormula, None]
     delta: Dict[LabelledFormula, None]
+    labels: FrozenSet[Label]
 
     def __init__(self, rel: Iterable[RelAtom] = (), ineq: Iterable[Ineq] = (),
                  gamma: Iterable[LabelledFormula] = (),
@@ -57,11 +62,11 @@ class Sequent:
         self.gamma = dict.fromkeys(gamma)
         self.delta = dict.fromkeys(delta)
         self.change = None
-        self._labels = None         # built on first use
-        self.top = max(chain(chain.from_iterable(self.rel),
-                             chain.from_iterable(self.ineq),
-                             (w for (w, _) in self.gamma),
-                             (w for (w, _) in self.delta)), default=EPS)
+        self.labels = frozenset(chain((EPS,), chain.from_iterable(self.rel),
+                                      chain.from_iterable(self.ineq),
+                                      (w for (w, _) in self.gamma),
+                                      (w for (w, _) in self.delta)))
+        self.top = max(self.labels)
 
     def __eq__(self, other):
         if not isinstance(other, Sequent):
@@ -73,21 +78,6 @@ class Sequent:
         return hash((frozenset(self.rel), frozenset(self.ineq),
                      frozenset(self.gamma), frozenset(self.delta)))
 
-    @property
-    def labels(self) -> FrozenSet[Label]:
-        if self._labels is None:
-            out = {EPS}
-            for (x, y, z) in self.rel:
-                out.update((x, y, z))
-            for (x, y) in self.ineq:
-                out.update((x, y))
-            for (w, _) in self.gamma:
-                out.add(w)
-            for (w, _) in self.delta:
-                out.add(w)
-            self._labels = frozenset(out)
-        return self._labels
-
     def fresh_label(self) -> Label:
         return self.top + 1
 
@@ -95,7 +85,9 @@ class Sequent:
                drop_gamma=(), drop_delta=()) -> "Sequent":
         """New formulae go to the front of the queues, new atoms to the back.
         The result's change is the tuple of the items that self lacked,
-        and its top the largest label of self's top and those items."""
+        its labels self's and theirs, and its top the largest label of
+        self's top and those items.  It holds each part of self that no
+        argument adds to or drops from as it is."""
         g = self.gamma
         d = self.delta
         if drop_gamma:
@@ -103,82 +95,93 @@ class Sequent:
         if drop_delta:
             d = (lf for lf in d if lf not in drop_delta)
         # loops, not comprehensions: a comprehension is a call of its own,
-        # and most of these arguments are empty or hold one item
+        # and most of these arguments are empty or hold one item.  top is
+        # at least every label of self, so only a new label can raise it
         added = []
+        labels = self.labels
         top = self.top
         for a in rel:
             if a not in self.rel:
                 added.append(a)
-                top = max(top, *a)
+                if not labels.issuperset(a):
+                    labels = labels.union(a)
+                    top = max(top, *a)
         for q in ineq:
             if q not in self.ineq:
                 added.append(q)
-                top = max(top, *q)
+                if not labels.issuperset(q):
+                    labels = labels.union(q)
+                    top = max(top, *q)
         for lf in gamma:
             if lf not in self.gamma:
                 added.append(("gamma", lf))
-                if lf[0] > top:
-                    top = lf[0]
+                if lf[0] not in labels:
+                    labels = labels.union((lf[0],))
+                    top = max(top, lf[0])
         for lf in delta:
             if lf not in self.delta:
                 added.append(("delta", lf))
-                if lf[0] > top:
-                    top = lf[0]
-        out = _built(dict.fromkeys(chain(self.rel, rel)),
-                     dict.fromkeys(chain(self.ineq, ineq)),
-                     dict.fromkeys(chain(gamma, g)),
-                     dict.fromkeys(chain(delta, d)), top)
+                if lf[0] not in labels:
+                    labels = labels.union((lf[0],))
+                    top = max(top, lf[0])
+        out = _built(dict.fromkeys(chain(self.rel, rel)) if rel else self.rel,
+                     dict.fromkeys(chain(self.ineq, ineq)) if ineq else self.ineq,
+                     dict.fromkeys(chain(gamma, g)) if gamma or drop_gamma else g,
+                     dict.fromkeys(chain(delta, d)) if delta or drop_delta else d,
+                     labels, top)
         out.change = tuple(added)
         return out
 
     def requeue(self, side: str, lf: LabelledFormula) -> "Sequent":
         """Move a formula to the back of its queue (fairness for retained principals)."""
         if side == "gamma":
-            g = chain((x for x in self.gamma if x != lf), (lf,))
-            return _built(dict(self.rel), dict(self.ineq), dict.fromkeys(g),
-                          dict(self.delta), self.top)
-        d = chain((x for x in self.delta if x != lf), (lf,))
-        return _built(dict(self.rel), dict(self.ineq), dict(self.gamma),
-                      dict.fromkeys(d), self.top)
+            g = dict.fromkeys(chain((x for x in self.gamma if x != lf), (lf,)))
+            return _built(self.rel, self.ineq, g, self.delta, self.labels, self.top)
+        d = dict.fromkeys(chain((x for x in self.delta if x != lf), (lf,)))
+        return _built(self.rel, self.ineq, self.gamma, d, self.labels, self.top)
 
     def subst_label(self, frm: Label, to: Label) -> "Sequent":
         """self with every frm replaced by to.  The result's change maps
         each item that a replacement gives, unless an item of self without
         frm came first with it, to the first item of self it came from.
-        Its top is self's, even when frm was the largest label."""
+        Its labels are self's with frm swapped for to, and its top is
+        self's, even when frm was the largest label."""
         if frm == to:
             return self
+        labels = self.labels
+        if frm in labels:
+            labels = (labels - {frm}) | {to}
         renamed: Dict[tuple, tuple] = {}
         out = _built(_rename_atoms(self.rel, frm, to, renamed),
                      _rename_atoms(self.ineq, frm, to, renamed),
                      _rename_labelled(self.gamma, "gamma", frm, to, renamed),
                      _rename_labelled(self.delta, "delta", frm, to, renamed),
-                     self.top)
+                     labels, self.top)
         out.change = renamed
         return out
 
     def subst_expr(self, frm: str, to: str) -> "Sequent":
         if frm == to:
             return self
-        return _built(dict(self.rel), dict(self.ineq),
+        return _built(self.rel, self.ineq,
                       dict.fromkeys((w, subst_expr(f, frm, to)) for (w, f) in self.gamma),
                       dict.fromkeys((w, subst_expr(f, frm, to)) for (w, f) in self.delta),
-                      self.top)
+                      self.labels, self.top)
 
     def __repr__(self) -> str:
         return format_sequent(self)
 
 
-def _built(rel, ineq, gamma, delta, top: Label) -> Sequent:
-    """A sequent of these parts, dicts that no other sequent holds, whose
-    top is given, not computed."""
+def _built(rel, ineq, gamma, delta, labels, top: Label) -> Sequent:
+    """A sequent of these parts, whose labels and top are given, not
+    computed.  It may share any of them with other sequents."""
     out = Sequent.__new__(Sequent)
     out.rel = rel
     out.ineq = ineq
     out.gamma = gamma
     out.delta = delta
     out.change = None
-    out._labels = None
+    out.labels = labels
     out.top = top
     return out
 

@@ -324,10 +324,11 @@ def _parts(seq):
 
 
 def test_rule_applications_never_change_their_conclusion():
-    # a sequent's parts are dicts, so guard that expand only reads them:
-    # replay a proof of a pasl+d star permutation and every shipped corpus
-    # proof as check does, and compare every sequent met against its parts
-    # as they were when built
+    # a sequent's parts are dicts that its premises may share, so guard
+    # that expand only reads them: replay a proof of a pasl+d star
+    # permutation and every shipped corpus proof as check does, and
+    # compare every sequent met against its parts as they were when built,
+    # and its carried label set against the one its items give
     goals = [(parse("(a1 * (a2 * (a3 * (a4 * a5)))) -> (a3 * (a5 * (a1 * (a4 * a2))))"),
               PASL_D)]
     for path in ("table1.corpus", "table2.corpus"):
@@ -345,6 +346,9 @@ def test_rule_applications_never_change_their_conclusion():
             premises = expand(seq, inst, cfg)
             assert _parts(seq) == before, inst.rule
             seen.extend((p, _parts(p)) for p in premises)
+            for p in premises:
+                assert p.labels == Sequent(p.rel, p.ineq, p.gamma, p.delta).labels
+                assert p.top >= max(p.labels), inst.rule
             pending.extend(reversed(premises))
         assert not pending
     assert len(seen) > 100

@@ -53,10 +53,10 @@ def test_labels_and_fresh():
 
 
 def test_top_is_the_largest_label_the_branch_has_held():
-    # built directly, a sequent computes top from its items, without
-    # building its label set; extend raises it to what it adds
+    # built directly, a sequent computes its labels and top from its
+    # items; extend raises top to what it adds
     s = Sequent(rel=((1, 2, 3),), ineq=((4, EPS),), delta=((6, parse("a")),))
-    assert s.top == 6 and s._labels is None
+    assert s.top == 6 and s.labels == {0, 1, 2, 3, 4, 6}
     assert Sequent().top == EPS
     assert s.extend(rel=((7, 1, 2),)).top == 7
     assert s.extend(gamma=((8, parse("b")),)).top == 8
@@ -74,6 +74,24 @@ def test_fresh_label_never_reuses_a_removed_label():
     assert max(s2.labels) == 4
     assert s2.top == 6 and s2.fresh_label() == 7
     assert s2.extend(rel=((2, 1, 3),)).fresh_label() == 7
+
+
+def test_premise_shares_the_parts_its_operation_leaves_alone():
+    a = parse("a")
+    s = Sequent(rel=((1, 2, 3),), ineq=((4, EPS),), gamma=((1, a),),
+                delta=((6, a),))
+    before = (tuple(s.rel), tuple(s.ineq), tuple(s.gamma), tuple(s.delta))
+    s2 = s.extend(rel=((7, 1, 2),))
+    assert s2.ineq is s.ineq and s2.gamma is s.gamma and s2.delta is s.delta
+    assert s2.labels == s.labels | {7} and s2.top == 7
+    s3 = s.extend(gamma=((2, parse("b")),))
+    assert s3.rel is s.rel and s3.ineq is s.ineq and s3.labels is s.labels
+    for s4 in (s.requeue("gamma", (1, a)), s.subst_expr("x", "y")):
+        assert s4.rel is s.rel and s4.labels is s.labels
+    s5 = s.subst_label(6, 3)
+    assert s5.labels == {0, 1, 2, 3, 4} and s5.top == 6
+    assert (tuple(s.rel), tuple(s.ineq), tuple(s.gamma), tuple(s.delta)) == before
+    assert s.labels == {0, 1, 2, 3, 4, 6}
 
 
 def test_subst_label_merges_duplicates():
