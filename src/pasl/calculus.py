@@ -13,9 +13,9 @@ from enum import Enum
 from typing import Optional, Tuple
 
 from .config import LogicConfig
-from .formula import BOT, EMP, TOP, Formula, subst_expr
+from .formula import BOT, EMP, TOP, Formula, expr_names, subst_expr
 from .sequent import (EPS, Ineq, Label, LabelledFormula, RelAtom, Sequent,
-                      label_name, occurring_exprs)
+                      expr_index, label_name, occurring_exprs)
 from .unify import AppliedRule, entails_eq, eq_find
 
 
@@ -144,6 +144,26 @@ def _merge(seq: Sequent, a: Label, b: Label) -> Sequent:
     return seq.subst_label(frm, to)
 
 
+def _naming(premise: Sequent, name: str) -> Sequent:
+    """premise, just built by existsL or existsR, with its expr_top raised
+    to cover the name that the rule brought in."""
+    premise.expr_top = max(premise.expr_top, expr_index(name))
+    return premise
+
+
+def _composed(seq: Sequent, mid: Sequent, out: Sequent) -> Sequent:
+    """out, built from mid by a renaming, built in turn from seq by one,
+    with its change mapping each item that either renamed to its preimage
+    in seq.  A renaming that renames nothing returns its operand, whose
+    change is not its own: then the other renaming's change is the whole
+    record.  An item of mid that out renamed is not in out, so its entry
+    of mid's change matches no need of out's."""
+    if mid is not seq and out is not mid:
+        first = mid.change
+        out.change = {**first, **{x: first.get(p, p) for x, p in out.change.items()}}
+    return out
+
+
 def expand(seq: Sequent, inst: RuleInstance, cfg: LogicConfig) -> Tuple[Sequent, ...]:
     """Premises of applying inst to seq; raises RuleError if not applicable."""
     r = inst.rule
@@ -246,16 +266,17 @@ def expand(seq: Sequent, inst: RuleInstance, cfg: LogicConfig) -> Tuple[Sequent,
         ((w, f),) = inst.principal_gamma
         _need(f.kind == "exists", "existsL needs a quantifier")
         (v,) = inst.exprs
-        if v in occurring_exprs(seq):
+        # a name bound in f would capture v in the body
+        if v in occurring_exprs(seq) or v in expr_names(f):
             raise RuleError("witness %s not fresh" % v)
         body = subst_expr(f.args[1], f.args[0], v)
-        return (seq.extend(gamma=[(w, body)], drop_gamma=[(w, f)]),)
+        return (_naming(seq.extend(gamma=[(w, body)], drop_gamma=[(w, f)]), v),)
     if r is Rule.EXISTS_R:
         ((w, f),) = inst.principal_delta
         _need(f.kind == "exists", "existsR needs a quantifier")
         (t,) = inst.exprs
         body = subst_expr(f.args[1], f.args[0], t)
-        return (seq.requeue("delta", (w, f)).extend(delta=[(w, body)]),)
+        return (_naming(seq.requeue("delta", (w, f)).extend(delta=[(w, body)]), t),)
 
     # branching rules
     if r is Rule.AND_R:
@@ -302,7 +323,7 @@ def expand(seq: Sequent, inst: RuleInstance, cfg: LogicConfig) -> Tuple[Sequent,
             # the empty component collapses to the identity, the other is h0
             p = _merge(seq, empty, EPS)
             m = lambda l: EPS if l == empty else l
-            return _merge(p, m(keep), m(h0))
+            return _composed(seq, p, _merge(p, m(keep), m(h0)))
 
         return (sub_branch(h1, h2), sub_branch(h2, h1))
     if r is Rule.EM:
@@ -347,7 +368,8 @@ def expand(seq: Sequent, inst: RuleInstance, cfg: LogicConfig) -> Tuple[Sequent,
         _need(h == h2 and f is not f2, "|->L4 needs one label, two distinct cells")
         e1, e2 = f.args
         e3, e4 = f2.args
-        return (seq.subst_expr(e3, e1).subst_expr(e4, e2),)
+        mid = seq.subst_expr(e3, e1)
+        return (_composed(seq, mid, mid.subst_expr(e4, e2)),)
     if r is Rule.EQ_L:
         ((h, f),) = inst.principal_gamma
         _need(f.kind == "eq", "=L needs an equality")

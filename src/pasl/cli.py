@@ -123,8 +123,12 @@ def cmd_bench(args) -> int:
     failures = errors = 0
     for e in entries:
         t0 = time.monotonic()
+        steps = "-"
         try:
-            kind = type(prove(e.goal, preset(e.cfg), _limits(args))).__name__
+            v = prove(e.goal, preset(e.cfg), _limits(args))
+            kind = type(v).__name__
+            if isinstance(v, Valid):
+                steps = str(v.proof.rule_count())
             ok = (kind == "Valid") if e.expected == "Valid" else (kind != "Valid")
         except Exception as exc:    # one failing row must not end the run
             print("error: %s: %s" % (e.id, _describe(exc)), file=sys.stderr)
@@ -133,8 +137,8 @@ def cmd_bench(args) -> int:
         dt = time.monotonic() - t0
         if not ok:
             failures += 1
-        print("%-12s %-12s %-18s %8.3fs  %s"
-              % (e.id, e.cfg, kind, dt, "ok" if ok else "MISMATCH"))
+        print("%-12s %-12s %-18s %8.3fs %6s  %s"
+              % (e.id, e.cfg, kind, dt, steps, "ok" if ok else "MISMATCH"))
     print("%d/%d expectations matched" % (len(entries) - failures, len(entries)))
     if errors:
         return EXIT_ERROR

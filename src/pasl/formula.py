@@ -120,10 +120,6 @@ def prop_names(f: Formula) -> frozenset:
     return frozenset(g.args[0] for g in subformulae(f) if g.kind == "var")
 
 
-def has_heap(f: Formula) -> bool:
-    return any(g.kind in ("mapsto", "eq", "exists") for g in subformulae(f))
-
-
 def free_exprs(f: Formula) -> frozenset:
     """Free expression identifiers of heap atoms, minus bound variables."""
     out = set()
@@ -137,6 +133,26 @@ def free_exprs(f: Formula) -> frozenset:
         elif g.kind not in ("var", "top", "bot", "emp"):
             stack.extend((a, bound) for a in g.args)
     return frozenset(out)
+
+
+def expr_names(f: Formula) -> set:
+    """Expression identifiers of heap atoms and binders, free or bound."""
+    out = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if g.kind in ("mapsto", "eq"):
+            out.update(g.args)
+        elif g.kind == "exists":
+            out.add(g.args[0])
+            stack.append(g.args[1])
+        elif g.kind not in ("var", "top", "bot", "emp"):
+            stack.extend(g.args)
+    return out
+
+
+def has_heap(f: Formula) -> bool:
+    return bool(expr_names(f))
 
 
 def subst_expr(f: Formula, frm: Expr, to: Expr) -> Formula:

@@ -38,15 +38,7 @@ def find_heap_redex(seq: Sequent, cfg: LogicConfig) -> Optional[RuleInstance]:
     return None
 
 
-def fresh_expr_name(seq: Sequent) -> str:
-    used = occurring_exprs(seq)
-    i = 1
-    while "v%d" % i in used:
-        i += 1
-    return "v%d" % i
-
-
 def witnesses(seq: Sequent) -> Tuple[str, ...]:
     """Candidate instantiations for an existential on the right: every
     occurring identifier plus one designated fresh name."""
-    return tuple(sorted(occurring_exprs(seq))) + (fresh_expr_name(seq),)
+    return tuple(sorted(occurring_exprs(seq))) + (seq.fresh_expr(),)

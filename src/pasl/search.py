@@ -53,35 +53,37 @@ The proof of a Valid is the subset of the search's steps that its
 closing rules need (relevance, a form of the dependency-directed
 backjumping of Horrocks and Patel-Schneider, 1999).  Each step on the
 current branch keeps a record of what it changed, which Sequent.change
-records as the premise is built: the items it added, or, for a label
-substitution, the preimage of each item it renamed.  E, A and U, most of
-the steps of a long branch, store no change: the search applies them
-only where what they add is new, so calculus.structural_atoms gives it
-from the rule instance.  When a leaf closes, its needs flow back towards
-the root: the principal items of its rule, and the (e, x |> y) atoms
-when that rule takes labels that differ as equal.  A step that added
-something needed is kept, and the needs lose what it added and gain its
-principal items (for U and EM, also an item that holds their label,
-unless a need already does); a step that added nothing needed is
-dropped.  A label substitution (Eq1, Eq2, P, C, IU, D) that renamed a
-needed item is kept, and maps each renamed need to its preimage and
-adds its principal atoms; one that renamed nothing needed is dropped
-like a step that added nothing needed.  At a branching step, a premise whose needs
-hold nothing that premise added closes the step alone: its subproof also
-proves the step's conclusion, so the step and its earlier premises'
-subproofs are dropped, and its later premises are never searched.
-Otherwise the premise's needs join the step's.  This is sound because no
-rule needs an item to be absent, because a dropped substitution renamed
-no item that a later step needs, so each kept step finds its items in
-the proof's sequent as the search found them, and because every fresh
-label is fresh for the proof's sequent too: that sequent holds only
-labels that the search's branch has held, perhaps one that a dropped
-substitution removed from the search's sequent, and Sequent.fresh_label
-returns a label above every label the branch has ever held.
-calculus.check re-runs every proof in any case.  Heap logics keep every
-step (Prover._prune): their rules also rename expressions, which the
-records do not follow.  The records of a subtree are freed as its needs
-flow back, so the search keeps records for the current branch only.
+records as the premise is built: the items it added, or, for a
+substitution of labels or expressions, the preimage of each item it
+renamed.  |->L4 and each premise of |->L2 rename twice, and record the
+two renamings composed.  E, A and U, most of the steps of a long branch,
+store no change: the search applies them only where what they add is
+new, so calculus.structural_atoms gives it from the rule instance.  When
+a leaf closes, its needs flow back towards the root: the principal items
+of its rule, and the (e, x |> y) atoms when that rule takes labels that
+differ as equal.  A step that added something needed is kept, and the
+needs lose what it added and gain its principal items (for U and EM,
+also an item that holds their label, unless a need already does); a
+step that added nothing needed is dropped.  A substitution (Eq1, Eq2, P,
+C, IU, D, |->L3, |->L4, =L) that renamed a needed item is kept, and maps
+each renamed need to its preimage and adds its principal items; one that
+renamed nothing needed is dropped like a step that added nothing needed.
+At a branching step, a premise whose needs hold nothing that premise
+added or renamed closes the step alone: its subproof also proves the
+step's conclusion, so the step and its earlier premises' subproofs are
+dropped, and its later premises are never searched.  Otherwise the
+premise's needs join the step's.  This is sound because no rule needs an
+item to be absent, because a dropped substitution renamed no item that a
+later step needs, so each kept step finds its items in the proof's
+sequent as the search found them, and because every fresh label and
+name is fresh for the proof's sequent too.  That sequent holds only
+labels and names that the search's branch has held, perhaps one that a
+dropped substitution removed from the search's sequent, and
+Sequent.fresh_label and Sequent.fresh_expr, where existsL takes its name
+from, return a label above every label, and a name v<i> above every such
+name, that the branch has ever held.  calculus.check re-runs every proof
+in any case.  The records of a subtree are freed as its needs flow back,
+so the search keeps records for the current branch only.
 """
 from __future__ import annotations
 
@@ -89,14 +91,13 @@ import time
 from dataclasses import dataclass
 from itertools import chain
 from operator import is_
-from types import MappingProxyType
 from typing import Dict, List, Optional, Set, Tuple
 
 from .calculus import (Derivation, Rule, RuleInstance, check, closures,
                        expand, from_applied, structural_atoms)
 from .config import ConfigError, LogicConfig
 from .formula import EMP, Formula, has_heap, subformulae, subst_expr
-from .heap import find_heap_redex, fresh_expr_name, witnesses
+from .heap import find_heap_redex, witnesses
 from .countermodel import branch_countermodel
 from .oracle import FrameModel
 from .sequent import EPS, Sequent, initial_sequent
@@ -282,7 +283,7 @@ class Prover:
                         continue
                 steps.append(inst)
                 branches.append(_Branch(seg, len(steps) - 1,
-                                        [self._change(p) for p in premises],
+                                        [p.change for p in premises],
                                         _label_witness(seq, inst)))
                 stack.extend((p, memo, rounds) for p in reversed(premises))
                 break
@@ -290,26 +291,13 @@ class Prover:
 
     # -- relevance --------------------------------------------------------------
 
-    @property
-    def _prune(self) -> bool:
-        """Whether relevance may drop steps.  Heap logics are the one
-        exclusion: their rules also rename expressions, which no record
-        follows, so there each step counts as a renaming that keeps every
-        item and is kept."""
-        return not self.cfg.heap_extension
-
-    def _change(self, premise: Sequent):
-        """What a step changed from its conclusion to premise (see the
-        module docstring)."""
-        return premise.change if self._prune else _KEEP
-
     def _linear(self, seq, inst, premise, steps, seg) -> Sequent:
         """Record the single-premise step inst from seq to premise: its
         change, or for U, whose change _Segment derives as for E and A,
         its label witness."""
         steps.append(inst)
-        if not (self._prune and inst.rule in _DERIVED):
-            seg.records.append(self._change(premise))
+        if inst.rule not in _DERIVED:
+            seg.records.append(premise.change)
         elif inst.rule is Rule.U:
             seg.records.append(_label_witness(seq, inst))
         return premise
@@ -327,7 +315,7 @@ class Prover:
         before it."""
         end = len(steps) - 1        # the leaf
         while True:
-            seg.trim(steps, needs, end, self._prune)
+            seg.trim(steps, needs, end)
             if not branches:
                 return
             b = branches[-1]
@@ -393,7 +381,7 @@ class Prover:
                 if not self.cfg.heap_extension:
                     continue
                 return RuleInstance(r, principal_gamma=(lf,),
-                                    exprs=(fresh_expr_name(seq),))
+                                    exprs=(seq.fresh_expr(),))
             if r is Rule.STAR_L:
                 w = seq.fresh_label()
                 return RuleInstance(r, principal_gamma=(lf,), fresh=(w, w + 1))
@@ -666,10 +654,6 @@ class Prover:
 
 # -- relevance records ---------------------------------------------------------
 
-# the change of a step that is kept whatever its premise needs, and maps
-# every needed item to itself
-_KEEP = MappingProxyType({})
-
 # the search applies E, A and U only where what they add is new, so
 # structural_atoms gives their change exactly
 _DERIVED = frozenset((Rule.E, Rule.A, Rule.U))
@@ -724,7 +708,7 @@ def _leaf_needs(seq: Sequent, inst: RuleInstance) -> Set[tuple]:
     labels = {w for (w, _) in chain(inst.principal_gamma, inst.principal_delta)}
     for q in inst.principal_ineqs:
         labels.update(q)
-    if inst.rule is Rule.EMP_R:
+    if inst.rule in (Rule.EMP_R, Rule.MAPSTO_L1):
         labels.add(EPS)
     if len(labels) > 1:
         needs.update(a for a in seq.rel if a[0] == EPS and a[1] != a[2])
@@ -734,13 +718,11 @@ def _leaf_needs(seq: Sequent, inst: RuleInstance) -> Set[tuple]:
 def _pull(needs: Set[tuple], change) -> bool:
     """Pull needs back over a step whose premise differs from its
     conclusion by change, in place.  False, with needs untouched, when the
-    step added or renamed nothing needed; _KEEP is always needed."""
+    step added or renamed nothing needed."""
     if isinstance(change, tuple):
         if needs.isdisjoint(change):
             return False
         needs.difference_update(change)
-        return True
-    if change is _KEEP:
         return True
     small, large = (change, needs) if len(change) < len(needs) else (needs, change)
     moved = [x for x in small if x in large]
@@ -754,9 +736,9 @@ def _pull(needs: Set[tuple], change) -> bool:
 class _Segment:
     """The single-premise steps of a branch since its last branching step,
     which start at steps[start], and their records in order: what each
-    step changed (Sequent.change), except that where relevance prunes, E,
-    A and U store no change, as calculus.structural_atoms gives it from
-    the instance, and U stores its label witness instead.  A long branch
+    step changed (Sequent.change), except that E, A and U store no
+    change, as calculus.structural_atoms gives it from the instance, and
+    U stores its label witness instead.  A long branch
     is mostly such structural steps, so it holds little beyond its rule
     instances."""
     __slots__ = ("start", "records")
@@ -765,15 +747,14 @@ class _Segment:
         self.start = start
         self.records: list = []
 
-    def trim(self, steps: List[RuleInstance], needs: Set[tuple], end: int,
-             derive: bool) -> None:
+    def trim(self, steps: List[RuleInstance], needs: Set[tuple], end: int) -> None:
         """Pull needs back over these steps, steps[start:end], dropping
-        every step that adds nothing needed; derive as Prover._prune."""
+        every step that adds nothing needed."""
         records = self.records
         kept = []
         for i in range(end - 1, self.start - 1, -1):
             inst, witness = steps[i], None
-            if derive and inst.rule in _DERIVED:
+            if inst.rule in _DERIVED:
                 change = structural_atoms(inst)
                 if inst.rule is Rule.U:
                     witness = records.pop()

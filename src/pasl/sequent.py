@@ -14,9 +14,10 @@ A sequent also records, in change, how the operation that built it
 changed the sequent it was built from, for the search's relevance
 tracking.  There an atom stands for itself and a labelled formula is
 tagged with its side, as ("gamma", lf) or ("delta", lf).  extend records
-the tuple of the items it added, and subst_label a dict from each item
-it renamed to that item's preimage.  Nothing is diffed: each operation
-records what it does as it builds.  Other constructions record None.
+the tuple of the items it added, and subst_label and subst_expr a dict
+from each item they renamed to that item's preimage.  Nothing is diffed:
+each operation records what it does as it builds.  Other constructions
+record None.
 
 Every sequent carries labels, the frozenset of e and the labels of its
 items, and top, the largest label its branch has ever held.  A sequent
@@ -30,13 +31,22 @@ of the branch before that substitution.  The search's relevance tracking
 relies on this when it drops a substitution from a proof.  As no part is
 ever changed, an operation's result holds each part and label set that
 the operation leaves alone as its operand's own object.
+
+Every sequent also carries expr_top, the largest i of an expression name
+v<i> that its branch has ever held, free or bound.  A sequent built
+directly computes it from its formulae, calculus.expand raises it where
+existsL or existsR brings a name in, and every other operation passes it
+on, as only those two rules bring names in.  fresh_expr returns
+v<expr_top + 1>, which no formula of the branch has held, before or
+after an expression substitution removed a name, and which no binder of
+the goal can capture.
 """
 from __future__ import annotations
 
 from itertools import chain
 from typing import Dict, FrozenSet, Iterable, Tuple
 
-from .formula import Formula, free_exprs, show, subst_expr
+from .formula import Formula, expr_names, free_exprs, show, subst_expr
 
 Label = int
 EPS: Label = 0
@@ -47,7 +57,8 @@ LabelledFormula = Tuple[Label, Formula]
 
 
 class Sequent:
-    __slots__ = ("rel", "ineq", "gamma", "delta", "change", "labels", "top")
+    __slots__ = ("rel", "ineq", "gamma", "delta", "change", "labels", "top",
+                 "expr_top")
     rel: Dict[RelAtom, None]
     ineq: Dict[Ineq, None]
     gamma: Dict[LabelledFormula, None]
@@ -67,6 +78,8 @@ class Sequent:
                                       (w for (w, _) in self.gamma),
                                       (w for (w, _) in self.delta)))
         self.top = max(self.labels)
+        self.expr_top = max((expr_index(e) for (_, f) in chain(self.gamma, self.delta)
+                             for e in expr_names(f)), default=0)
 
     def __eq__(self, other):
         if not isinstance(other, Sequent):
@@ -80,6 +93,9 @@ class Sequent:
 
     def fresh_label(self) -> Label:
         return self.top + 1
+
+    def fresh_expr(self) -> str:
+        return "v%d" % (self.expr_top + 1)
 
     def extend(self, rel=(), ineq=(), gamma=(), delta=(),
                drop_gamma=(), drop_delta=()) -> "Sequent":
@@ -128,7 +144,7 @@ class Sequent:
                      dict.fromkeys(chain(self.ineq, ineq)) if ineq else self.ineq,
                      dict.fromkeys(chain(gamma, g)) if gamma or drop_gamma else g,
                      dict.fromkeys(chain(delta, d)) if delta or drop_delta else d,
-                     labels, top)
+                     labels, top, self.expr_top)
         out.change = tuple(added)
         return out
 
@@ -136,9 +152,11 @@ class Sequent:
         """Move a formula to the back of its queue (fairness for retained principals)."""
         if side == "gamma":
             g = dict.fromkeys(chain((x for x in self.gamma if x != lf), (lf,)))
-            return _built(self.rel, self.ineq, g, self.delta, self.labels, self.top)
+            return _built(self.rel, self.ineq, g, self.delta, self.labels, self.top,
+                          self.expr_top)
         d = dict.fromkeys(chain((x for x in self.delta if x != lf), (lf,)))
-        return _built(self.rel, self.ineq, self.gamma, d, self.labels, self.top)
+        return _built(self.rel, self.ineq, self.gamma, d, self.labels, self.top,
+                      self.expr_top)
 
     def subst_label(self, frm: Label, to: Label) -> "Sequent":
         """self with every frm replaced by to.  The result's change maps
@@ -156,25 +174,31 @@ class Sequent:
                      _rename_atoms(self.ineq, frm, to, renamed),
                      _rename_labelled(self.gamma, "gamma", frm, to, renamed),
                      _rename_labelled(self.delta, "delta", frm, to, renamed),
-                     labels, self.top)
+                     labels, self.top, self.expr_top)
         out.change = renamed
         return out
 
     def subst_expr(self, frm: str, to: str) -> "Sequent":
+        """self with every free frm replaced by to.  The result's change
+        maps each formula that a replacement gives to its preimage, as
+        subst_label's does."""
         if frm == to:
             return self
-        return _built(self.rel, self.ineq,
-                      dict.fromkeys((w, subst_expr(f, frm, to)) for (w, f) in self.gamma),
-                      dict.fromkeys((w, subst_expr(f, frm, to)) for (w, f) in self.delta),
-                      self.labels, self.top)
+        renamed: Dict[tuple, tuple] = {}
+        out = _built(self.rel, self.ineq,
+                     _rename_exprs(self.gamma, "gamma", frm, to, renamed),
+                     _rename_exprs(self.delta, "delta", frm, to, renamed),
+                     self.labels, self.top, self.expr_top)
+        out.change = renamed
+        return out
 
     def __repr__(self) -> str:
         return format_sequent(self)
 
 
-def _built(rel, ineq, gamma, delta, labels, top: Label) -> Sequent:
-    """A sequent of these parts, whose labels and top are given, not
-    computed.  It may share any of them with other sequents."""
+def _built(rel, ineq, gamma, delta, labels, top: Label, expr_top: int) -> Sequent:
+    """A sequent of these parts, whose labels, top and expr_top are given,
+    not computed.  It may share any of them with other sequents."""
     out = Sequent.__new__(Sequent)
     out.rel = rel
     out.ineq = ineq
@@ -183,6 +207,7 @@ def _built(rel, ineq, gamma, delta, labels, top: Label) -> Sequent:
     out.change = None
     out.labels = labels
     out.top = top
+    out.expr_top = expr_top
     return out
 
 
@@ -214,6 +239,27 @@ def _rename_labelled(part, tag, frm, to, renamed):
         else:
             out[lf] = None
     return out
+
+
+def _rename_exprs(part, tag, frm, to, renamed):
+    """part, the side tag, with frm replaced by to in its formulae; as
+    _rename_atoms."""
+    out = {}
+    for lf in part:
+        f = subst_expr(lf[1], frm, to)
+        if f is not lf[1]:
+            b = (lf[0], f)
+            if b not in out:
+                renamed[(tag, b)] = (tag, lf)
+            out[b] = None
+        else:
+            out[lf] = None
+    return out
+
+
+def expr_index(name: str) -> int:
+    """i for an expression name v<i>, else 0: the names fresh_expr makes."""
+    return int(name[1:]) if name[:1] == "v" and name[1:].isdecimal() else 0
 
 
 def label_name(w: Label) -> str:

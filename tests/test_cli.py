@@ -187,6 +187,10 @@ def test_bench_ok_and_mismatch(tmp_path, capsys):
     code, out, _ = run(capsys, "bench", str(corpus))
     assert code == 0
     assert "2/2 expectations matched" in out
+    # a Valid row gives its proof size before ok or MISMATCH, other rows "-"
+    rows = [r.split() for r in out.splitlines()[:2]]
+    assert rows[0][2:] == ["Valid", rows[0][3], "2", "ok"]     # ->R, id
+    assert rows[1][2:] == ["NotProved", rows[1][3], "-", "ok"]
 
     corpus.write_text("bad-1\tbbi\tValid\ta -> a * a\n")
     code, out, _ = run(capsys, "bench", str(corpus))

@@ -8,7 +8,7 @@ import pasl
 from pasl.cli import load_corpus
 
 from pasl.formula import (
-    BOT, EMP, TOP, ParseError, conj, disj, exists, expr_eq, free_exprs,
+    BOT, EMP, TOP, ParseError, conj, disj, exists, expr_eq, expr_names, free_exprs,
     has_heap, imp, neg, parse, points_to, prop, prop_names, septraction,
     show, size, star, subformulae, subst_expr, wand,
 )
@@ -153,9 +153,11 @@ def test_subst_expr_avoids_capture():
 
 
 def test_heap_walkers_deep_nesting():
-    # free expressions and substitution need no recursion either
+    # free expressions, every name, bound ones too, and substitution need
+    # no recursion either
     f = parse("exists x. " + "~" * 3000 + "(x |-> y) /\\ " * 1500 + "(y = z)")
     assert free_exprs(f) == {"y", "z"}
+    assert expr_names(f) == {"x", "y", "z"}
     assert subst_expr(f, "y", "w") is parse(
         "exists x. " + "~" * 3000 + "(x |-> w) /\\ " * 1500 + "(w = z)")
 

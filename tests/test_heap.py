@@ -2,7 +2,7 @@
 from pasl.calculus import Rule, expand, from_applied
 from pasl.config import preset
 from pasl.formula import parse
-from pasl.heap import find_heap_redex, fresh_expr_name, occurring_exprs, witnesses
+from pasl.heap import find_heap_redex, occurring_exprs, witnesses
 from pasl.search import Prover
 from pasl.sequent import EPS, Sequent
 from pasl.unify import find_redex
@@ -53,7 +53,7 @@ def test_occurring_and_fresh_exprs():
     s = Sequent(gamma=((1, parse("x |-> v1")),),
                 delta=((1, parse("exists q. q |-> y")),))
     assert occurring_exprs(s) == {"x", "v1", "y"}
-    assert fresh_expr_name(s) == "v2"
+    assert s.fresh_expr() == "v2"
     assert witnesses(s) == ("v1", "x", "y", "v2")
 
 

@@ -7,7 +7,7 @@ import pytest
 
 import pasl
 from pasl import countermodel, search
-from pasl.calculus import Rule, check, expand
+from pasl.calculus import Derivation, Rule, RuleError, RuleInstance, check, expand
 from pasl.cli import load_corpus
 from pasl.config import ConfigError, preset
 from pasl.formula import parse
@@ -363,24 +363,52 @@ def test_t1_17_closes_within_a_small_rule_budget():
     assert check(v.proof, cfg)
 
 
-def test_heap_logics_keep_every_step():
-    # heap rules rename expressions, which no relevance record follows, so
-    # Prover._prune excludes the heap logics, and each of their steps
-    # counts as a renaming that is kept: the proof is every step of the
-    # closed search, 1,011 here
-    assert not Prover(SEP)._prune
-    assert all(Prover(preset(name))._prune
-               for name in ("bbi", "pasl", "pasl+d", "bbi+s", "bbi+cs"))
+def test_heap_proofs_are_pruned():
+    # the records follow expression renamings, so relevance prunes heap
+    # proofs as it does every other logic's: this search closes after
+    # more than 1,000 steps, nearly all of them structural
     cells = ["(x%d |-> y%d)" % (i, i) for i in range(1, 7)]
     goal = parse("%s -> %s" % (_nest_star(cells), _nest_star(cells[::-1])))
-    p = Prover(SEP)
-    v = p.prove(goal)
+    v = prove(goal, SEP)
     assert isinstance(v, Valid)
-    assert v.proof.rule_count() == 1011
+    assert v.proof.rule_count() <= 41
     assert check(v.proof, SEP)
-    premise = initial_sequent(goal).extend(gamma=[(1, parse("x1 |-> y1"))])
-    assert p._change(premise) is search._KEEP
-    assert Prover(PASL)._change(premise) == premise.change
+
+
+def test_dropped_expression_substitution_leaves_fresh_names_fresh():
+    # =L removes v1 from the search's sequent, and the proof drops it as it
+    # renamed nothing needed, so the proof's sequent still holds v1: the
+    # existsL after it must not take v1, which is no longer occurring
+    goal = parse("((v1 = y) /\\ (exists x. x |-> z)) -> (exists w. w |-> z)")
+    v = prove(goal, SEP)
+    assert isinstance(v, Valid)
+    rules = [inst.rule for inst in v.proof.steps]
+    assert Rule.EQ_L not in rules
+    (ex,) = [inst for inst in v.proof.steps if inst.rule is Rule.EXISTS_L]
+    assert ex.exprs == ("v2",)
+    assert check(v.proof, SEP)
+
+
+def test_cell_at_the_identity_keeps_the_atom_that_puts_it_there():
+    # |->L1 closes at a label that an (e, a1 |> e) atom equates with e, so
+    # the empL step that added the atom stays in the proof
+    v = prove(parse("((x |-> y) /\\ emp) -> false"), SEP)
+    assert isinstance(v, Valid)
+    assert [inst.rule for inst in v.proof.steps][-2:] == [Rule.EMP_L, Rule.MAPSTO_L1]
+    assert check(v.proof, SEP)
+
+
+def test_fresh_names_are_never_bound_in_the_goal():
+    # existsL must not take v1 for x: the binder of v1 would capture it,
+    # giving exists v1. v1 |-> v1, and the goal would come out Valid
+    goal = parse("(exists x. exists v1. x |-> v1) -> exists y. y |-> y")
+    assert not isinstance(prove(goal, SEP), Valid)
+    # and check rejects that proof
+    ex = (1, parse("exists x. exists v1. x |-> v1"))
+    steps = (RuleInstance(Rule.IMP_R, principal_delta=((1, goal),)),
+             RuleInstance(Rule.EXISTS_L, principal_gamma=(ex,), exprs=("v1",)))
+    with pytest.raises(RuleError, match="witness v1 not fresh"):
+        check(Derivation(initial_sequent(goal), steps), SEP)
 
 
 # -- blocking and certified countermodels -------------------------------------

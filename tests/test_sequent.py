@@ -1,6 +1,10 @@
 """Sequent structure: queues, labels, substitution, formatting."""
+from pasl.calculus import Rule, RuleInstance, expand
+from pasl.config import preset
 from pasl.formula import parse
 from pasl.sequent import EPS, Sequent, format_sequent, initial_sequent
+
+SEP = preset("separata+")
 
 
 def test_initial_sequent():
@@ -131,6 +135,101 @@ def test_subst_expr_rewrites_both_sides():
     s2 = s.subst_expr("y", "w")
     assert tuple(s2.gamma) == ((1, parse("x |-> w")),)
     assert tuple(s2.delta) == ((1, parse("w = z")),)
+
+
+def test_subst_expr_records_preimages():
+    # as subst_label's: an image that an unrenamed item gave first is not
+    # recorded, and neither is an item the substitution leaves alone
+    s = Sequent(gamma=((1, parse("x |-> z")), (1, parse("x |-> y")),
+                       (3, parse("y |-> y"))),
+                delta=((2, parse("y = z")), (3, parse("a"))))
+    s2 = s.subst_expr("y", "z")
+    assert tuple(s2.gamma) == ((1, parse("x |-> z")), (3, parse("z |-> z")))
+    assert s2.change == {("gamma", (3, parse("z |-> z"))): ("gamma", (3, parse("y |-> y"))),
+                         ("delta", (2, parse("z = z"))): ("delta", (2, parse("y = z")))}
+    assert s.subst_expr("q", "x").change == {}
+
+
+def _items(s):
+    return (set(s.rel) | set(s.ineq) | {("gamma", lf) for lf in s.gamma}
+            | {("delta", lf) for lf in s.delta})
+
+
+def _maps_back(conclusion, premise):
+    """Every item of premise, mapped by premise's change, or as it is when
+    the change does not name it, is an item of conclusion."""
+    items = _items(conclusion)
+    return all(premise.change.get(x, x) in items for x in _items(premise))
+
+
+def test_eq_left_records_its_renamings_after_the_drop():
+    eq = (1, parse("x = y"))
+    s = Sequent(gamma=(eq, (2, parse("x |-> z"))),
+                delta=((2, parse("y |-> z")), (3, parse("a"))))
+    (p,) = expand(s, RuleInstance(Rule.EQ_L, principal_gamma=(eq,)), SEP)
+    assert p.change == {("gamma", (2, parse("y |-> z"))): ("gamma", (2, parse("x |-> z")))}
+    assert _maps_back(s, p)
+
+
+def test_mapsto_l4_composes_its_two_renamings():
+    # w becomes x, then z becomes y: the equality on the right is renamed
+    # twice and maps back to the conclusion's, not to the middle sequent's
+    c1, c2 = (3, parse("x |-> y")), (3, parse("w |-> z"))
+    s = Sequent(gamma=(c1, c2), delta=((1, parse("w = z")), (2, parse("z |-> q"))))
+    (p,) = expand(s, RuleInstance(Rule.MAPSTO_L4, principal_gamma=(c1, c2)), SEP)
+    assert tuple(p.gamma) == (c1,)
+    assert tuple(p.delta) == ((1, parse("x = y")), (2, parse("y |-> q")))
+    assert p.change[("delta", (1, parse("x = y")))] == ("delta", (1, parse("w = z")))
+    assert p.change[("delta", (2, parse("y |-> q")))] == ("delta", (2, parse("z |-> q")))
+    assert _maps_back(s, p)
+    # when one renaming renames an expression to itself, the other's
+    # change is the whole record
+    c3 = (3, parse("x |-> q"))
+    s = Sequent(gamma=(c1, c3), delta=((2, parse("q = y")),))
+    (p,) = expand(s, RuleInstance(Rule.MAPSTO_L4, principal_gamma=(c1, c3)), SEP)
+    assert p.change == {("delta", (2, parse("y = y"))): ("delta", (2, parse("q = y")))}
+
+
+def test_mapsto_l2_composes_its_two_merges_per_premise():
+    cell = (5, parse("x |-> y"))
+    s = Sequent(rel=((2, 3, 5), (2, 4, 6)), gamma=(cell, (2, parse("a"))),
+                delta=((3, parse("b")),))
+    inst = RuleInstance(Rule.MAPSTO_L2, principal_gamma=(cell,),
+                        principal_rels=((2, 3, 5),))
+    p1, p2 = expand(s, inst, SEP)
+    # 2 becomes e, then 5 becomes 3
+    assert p1.change[(EPS, 3, 3)] == (2, 3, 5)
+    assert p1.change[(EPS, 4, 6)] == (2, 4, 6)
+    assert p1.change[("gamma", (3, parse("x |-> y")))] == ("gamma", cell)
+    assert p1.change[("gamma", (EPS, parse("a")))] == ("gamma", (2, parse("a")))
+    # 3 becomes e, then 5 becomes 2
+    assert p2.change[(2, EPS, 2)] == (2, 3, 5)
+    assert p2.change[("delta", (EPS, parse("b")))] == ("delta", (3, parse("b")))
+    assert p2.change[("gamma", (2, parse("x |-> y")))] == ("gamma", cell)
+    assert _maps_back(s, p1) and _maps_back(s, p2)
+
+
+def test_expr_top_is_the_largest_name_the_branch_has_held():
+    # built directly, a sequent counts every name v<i> of its formulae,
+    # bound ones too; a substitution that removes a name leaves the mark,
+    # and existsL and existsR raise it to the name they bring in
+    s = Sequent(gamma=((1, parse("v1 = v3")), (1, parse("exists v4. v4 |-> v2"))),
+                delta=((1, parse("exists u. u |-> y")),))
+    assert s.expr_top == 4 and s.fresh_expr() == "v5"
+    assert Sequent(gamma=((1, parse("a /\\ (x |-> vx)")),)).fresh_expr() == "v1"
+    assert initial_sequent(parse("a -> b")).expr_top == 0
+    eq = (1, parse("v1 = v3"))
+    (p,) = expand(s, RuleInstance(Rule.EQ_L, principal_gamma=(eq,)), SEP)
+    assert p.expr_top == 4
+    ex = (1, parse("exists v4. v4 |-> v2"))
+    (p,) = expand(p, RuleInstance(Rule.EXISTS_L, principal_gamma=(ex,),
+                                  exprs=(p.fresh_expr(),)), SEP)
+    assert (1, parse("v5 |-> v2")) in p.gamma and p.expr_top == 5
+    assert p.extend(rel=((1, 2, 3),)).expr_top == 5
+    exr = (1, parse("exists u. u |-> y"))
+    (p,) = expand(p, RuleInstance(Rule.EXISTS_R, principal_delta=(exr,),
+                                  exprs=("v9",)), SEP)
+    assert p.expr_top == 9 and p.fresh_expr() == "v10"
 
 
 def test_format_sequent():
