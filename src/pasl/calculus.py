@@ -66,9 +66,7 @@ class Rule(Enum):
     CS_C = "CSC"
 
 
-_SUBST_RULES = {Rule.EQ1: "Eq1", Rule.EQ2: "Eq2", Rule.P: "P",
-                Rule.C: "C", Rule.IU: "IU", Rule.D: "D"}
-_SUBST_BY_NAME = {v: k for k, v in _SUBST_RULES.items()}
+_SUBST_RULES = frozenset((Rule.EQ1, Rule.EQ2, Rule.P, Rule.C, Rule.IU, Rule.D))
 
 
 def rule_enabled(rule: Rule, cfg: LogicConfig) -> bool:
@@ -123,8 +121,7 @@ class RuleError(ValueError):
 
 
 def from_applied(a: AppliedRule) -> RuleInstance:
-    return RuleInstance(_SUBST_BY_NAME[a.rule],
-                        principal_rels=a.atoms, subst=(a.subst,))
+    return RuleInstance(Rule(a.rule), principal_rels=a.atoms, subst=(a.subst,))
 
 
 def _need(cond: bool, msg: str) -> None:
@@ -334,7 +331,7 @@ def expand(seq: Sequent, inst: RuleInstance, cfg: LogicConfig) -> Tuple[Sequent,
 
     # label substitution rules
     if r in _SUBST_RULES:
-        ((frm, to),) = inst.subst
+        ((frm, to),) = renamings(inst)
         _need(frm != EPS, "cannot eliminate the identity label")
         if frm == to:
             raise RuleError("%s renames a label to itself" % r.value)
@@ -360,21 +357,18 @@ def expand(seq: Sequent, inst: RuleInstance, cfg: LogicConfig) -> Tuple[Sequent,
         (h, f), (h2, f2) = inst.principal_gamma
         _need(f.kind == "mapsto" and f2.kind == "mapsto", "|->L3 needs two cells")
         _need(f.args[0] == f2.args[0] and h != h2, "|->L3 needs one address, two labels")
-        frm, to = max(h, h2), min(h, h2)
-        return (seq.subst_label(frm, to),)
+        return (seq.subst_label(*renamings(inst)[0]),)
     if r is Rule.MAPSTO_L4:
         (h, f), (h2, f2) = inst.principal_gamma
         _need(f.kind == "mapsto" and f2.kind == "mapsto", "|->L4 needs two cells")
         _need(h == h2 and f is not f2, "|->L4 needs one label, two distinct cells")
-        e1, e2 = f.args
-        e3, e4 = f2.args
+        (e3, e1), (e4, e2) = renamings(inst)
         mid = seq.subst_expr(e3, e1)
         return (_composed(seq, mid, mid.subst_expr(e4, e2)),)
     if r is Rule.EQ_L:
         ((h, f),) = inst.principal_gamma
         _need(f.kind == "eq", "=L needs an equality")
-        e1, e2 = f.args
-        return (seq.extend(drop_gamma=[(h, f)]).subst_expr(e1, e2),)
+        return (seq.extend(drop_gamma=[(h, f)]).subst_expr(*renamings(inst)[0]),)
 
     # structural rules
     if r is Rule.E:
@@ -402,6 +396,21 @@ def expand(seq: Sequent, inst: RuleInstance, cfg: LogicConfig) -> Tuple[Sequent,
         return (seq.extend(rel=[(p, q, x), (p, s, x), (s, t, y), (q, t, y)]),)
 
     raise RuleError("unhandled rule %s" % r.value)
+
+
+def renamings(inst: RuleInstance) -> tuple:
+    """inst's (frm, to) renamings of labels or expressions, in the order
+    expand applies them; () for a rule that renames nothing."""
+    r = inst.rule
+    if r is Rule.MAPSTO_L3:         # the larger label to the smaller
+        (h, _), (h2, _) = inst.principal_gamma
+        return ((max(h, h2), min(h, h2)),)
+    if r is Rule.MAPSTO_L4:         # the second cell's address, then value
+        (_, f), (_, f2) = inst.principal_gamma
+        return tuple(zip(f2.args, f.args))
+    if r is Rule.EQ_L:
+        return (inst.principal_gamma[0][1].args,)
+    return inst.subst if r in _SUBST_RULES else ()
 
 
 def structural_atoms(inst: RuleInstance) -> Tuple[RelAtom, ...]:

@@ -12,7 +12,7 @@ from .calculus import Derivation, expand
 from .config import ConfigError, LogicConfig, preset
 from .formula import Formula, ParseError, parse, show
 from .oracle import check_conditions, format_model, parse_model, satisfies
-from .search import NotProved, Prover, ResourceExhausted, SearchLimits, Valid, prove
+from .search import NotProved, ResourceExhausted, SearchLimits, Valid, prove
 from .sequent import format_sequent
 
 EXIT_VALID = 0

@@ -88,21 +88,6 @@ def septraction(a: Formula, b: Formula) -> Formula:
     return neg(wand(a, neg(b)))
 
 
-def size(f: Formula) -> int:
-    n = 0
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        n += 1
-        if g.kind in ("var", "mapsto", "eq", "top", "bot", "emp"):
-            continue
-        if g.kind == "exists":
-            stack.append(g.args[1])
-        else:
-            stack.extend(g.args)
-    return n
-
-
 def subformulae(f: Formula) -> Iterator[Formula]:
     stack = [f]
     while stack:
@@ -156,10 +141,11 @@ def has_heap(f: Formula) -> bool:
 
 
 def subst_expr(f: Formula, frm: Expr, to: Expr) -> Formula:
-    """Replace free occurrences of expression frm by to.  Each distinct
-    subformula is rebuilt once, children before parents, on an explicit
-    stack; a subformula's image does not depend on where it occurs, since
-    an exists binding frm is left as it is."""
+    """Replace free occurrences of expression frm by to.  An exists that
+    binds to over a free frm renames its variable first, adding ' until the
+    name is new to its body and not frm: no parsed or fresh name holds '.
+    Each distinct subformula is rebuilt once, children before parents, on
+    an explicit stack; its image does not depend on where it occurs."""
     if frm == to:
         return f
     done: Dict[Formula, Formula] = {}
@@ -176,12 +162,18 @@ def subst_expr(f: Formula, frm: Expr, to: Expr) -> Formula:
         elif k in ("var", "top", "bot", "emp") or k == "exists" and g.args[0] == frm:
             done[g] = g
         else:
-            todo = [a for a in g.args if isinstance(a, Formula) and a not in done]
+            args = g.args
+            if k == "exists" and args[0] == to and frm in free_exprs(args[1]):
+                v = to
+                while v in (frm, to) or v in expr_names(args[1]):
+                    v += "'"
+                args = (v, subst_expr(args[1], to, v))
+            todo = [a for a in args if isinstance(a, Formula) and a not in done]
             if todo:
                 stack.extend(todo)
                 continue
             done[g] = Formula(k, tuple(done[a] if isinstance(a, Formula) else a
-                                       for a in g.args))
+                                       for a in args))
         stack.pop()
     return done[f]
 

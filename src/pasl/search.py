@@ -9,7 +9,8 @@ The strategy works in phases on each branch:
 3. apply invertible logical rules, unary ones first;
 4. discharge star-right / wand-left obligations against relational
    atoms whose component labels already carry the matching subformulas,
-   memoized so each (formula, atom) pair fires at most once;
+   each (formula, atom) pair at most once on a branch: one memo per
+   search records them, and an undo trail restores it for each premise;
 5. when nothing else applies, run one structural round (associativity
    with a redundancy filter, unit atoms) and go back to 1;
 6. once structural rounds stop producing atoms, fall back to the
@@ -94,7 +95,7 @@ from operator import is_
 from typing import Dict, List, Optional, Set, Tuple
 
 from .calculus import (Derivation, Rule, RuleInstance, check, closures,
-                       expand, from_applied, structural_atoms)
+                       expand, from_applied, renamings, structural_atoms)
 from .config import ConfigError, LogicConfig
 from .formula import EMP, Formula, has_heap, subformulae, subst_expr
 from .heap import find_heap_redex, witnesses
@@ -136,39 +137,49 @@ class ResourceExhausted:
     limit: str
 
 
-def _still_blocked(blockers: Dict[int, int], memo: Set[tuple]) -> Set[int]:
-    """The blocked labels that the branch of memo has not unblocked."""
-    return {w for w in blockers if ("unblock", w) not in memo}
-
-
 class _Exhausted(Exception):
     def __init__(self, limit: str):
         self.limit = limit
 
 
-def _rewrite_memo(memo: Set[tuple], leaf) -> Set[tuple]:
-    """memo with leaf applied to every item of its keys that is not a
-    tuple; tuples are walked into.  leaf returns an item it does not
-    change as it is, and so does walk a tuple, so the keys that the
-    rewrite leaves alone are shared with memo, not copied."""
-    def walk(x):
-        if isinstance(x, tuple):
-            out = [walk(e) for e in x]
-            return x if all(map(is_, out, x)) else tuple(out)
-        return leaf(x)
-    return {walk(key) for key in memo}
+def _renamed(x, frm, to):
+    """x with the label or expression frm renamed to to, in tuples and
+    formulae too; x itself where that changes nothing."""
+    if isinstance(x, tuple):
+        out = [_renamed(e, frm, to) for e in x]
+        return x if all(map(is_, out, x)) else tuple(out)
+    if type(x) is type(frm):
+        return to if x == frm else x
+    return subst_expr(x, frm, to) if isinstance(x, Formula) and isinstance(frm, str) else x
 
 
-def _rewrite_memo_label(memo: Set[tuple], frm: int, to: int) -> Set[tuple]:
-    return _rewrite_memo(memo, lambda x: to if isinstance(x, int) and x == frm else x)
+class _Memo(set):
+    """The obligation keys fired on the current branch, and an undo trail:
+    a change toggles a set of keys and pushes it; undo(mark) pops to mark."""
+    __slots__ = ("trail",)
 
+    def __init__(self):
+        super().__init__()
+        self.trail: List[Set[tuple]] = []
 
-def _rewrite_memo_expr(memo: Set[tuple], frm: str, to: str) -> Set[tuple]:
-    def leaf(x):
-        if isinstance(x, Formula):
-            return subst_expr(x, frm, to)
-        return to if isinstance(x, str) and x == frm else x
-    return _rewrite_memo(memo, leaf)
+    def toggle(self, keys: Set[tuple]) -> None:
+        if keys:
+            self.symmetric_difference_update(keys)
+            self.trail.append(keys)
+
+    def rename(self, frm, to) -> None:
+        """Rename frm to to in every key; keys that meet become one."""
+        moved = {k: n for k in self if (n := _renamed(k, frm, to)) is not k}
+        images = set(moved.values())
+        self.toggle((images - self).union(k for k in moved if k not in images))
+
+    def blocked(self, blockers: Dict[int, int]) -> Set[int]:
+        """The labels of blockers that this branch has not unblocked."""
+        return {w for w in blockers if ("unblock", w) not in self}
+
+    def undo(self, mark: int) -> None:
+        while len(self.trail) > mark:
+            self.symmetric_difference_update(self.trail.pop())
 
 
 class Prover:
@@ -219,18 +230,20 @@ class Prover:
     def _search(self, root: Sequent):
         """Valid or NotProved for root; raises _Exhausted when a limit fires.
 
-        Each pending premise waits on the stack with the memo and round
-        count of its branch; the first premise is popped first, so steps
-        lists the rule instances in depth-first order.  branches holds the
-        open branching steps of the current branch, innermost last, and
-        seg the records of the single-premise steps applied since the
-        innermost one (see _close)."""
+        Each pending premise waits on the stack with its round count and
+        memo's trail length, and popping it undoes memo to that length; the
+        first premise is popped first, so steps lists the rule instances in
+        depth-first order.  branches holds the open branching steps of the
+        current branch, innermost last, and seg the records of the
+        single-premise steps applied since the innermost one (see _close)."""
         steps: List[RuleInstance] = []
-        stack = [(root, set(), 0)]
+        memo = _Memo()
+        stack = [(root, 0, 0)]
         branches: List[_Branch] = []
         seg = _Segment(0)
         while stack:
-            seq, memo, rounds = stack.pop()
+            seq, mark, rounds = stack.pop()
+            memo.undo(mark)
             if branches:
                 seg = branches[-1].next_premise(len(steps))
             while True:
@@ -241,17 +254,16 @@ class Prover:
                                 _leaf_needs(seq, inst))
                     break
 
-                got = self._norm_step(seq, memo)
-                if got is None:
-                    inst = self._invertible_unary(seq)
-                    if inst is not None:
-                        got = (inst,), memo
-                if got is not None:
-                    insts, memo = got
+                insts = self._norm_step(seq)
+                if insts is None and (inst := self._invertible_unary(seq)):
+                    insts = (inst,)
+                if insts is not None:
                     for inst in insts:
                         self._tick(seq)
                         (premise,) = expand(seq, inst, self.cfg)
                         seq = self._linear(seq, inst, premise, steps, seg)
+                        for frm, to in renamings(inst):
+                            memo.rename(frm, to)
                     continue
 
                 inst = self._invertible_branching(seq)
@@ -268,12 +280,12 @@ class Prover:
                                 continue
                         ob = self._obligation(seq, memo, min_score=0)
                         if ob is None:
-                            verdict, memo = self._open_branch(seq, memo, rounds)
+                            verdict = self._open_branch(seq, memo, rounds)
                             if verdict is not None:
                                 return verdict
                             continue
                     keys, inst = ob
-                    memo = memo.union(keys)
+                    memo.toggle(set(keys) - memo)
                     # its premise count decides whether it extends this
                     # branch or splits it
                     premises = expand(seq, inst, self.cfg)
@@ -285,7 +297,7 @@ class Prover:
                 branches.append(_Branch(seg, len(steps) - 1,
                                         [p.change for p in premises],
                                         _label_witness(seq, inst)))
-                stack.extend((p, memo, rounds) for p in reversed(premises))
+                stack.extend((p, len(memo.trail), rounds) for p in reversed(premises))
                 break
         return Valid(Derivation(root, tuple(steps)))
 
@@ -334,36 +346,22 @@ class Prover:
 
     # -- phase 2: substitutional rules and commutativity ----------------------
 
-    def _norm_step(self, seq: Sequent, memo: Set[tuple]):
-        """The next normalization steps, to be applied in order, and the
-        memo after them; None when seq is normal.  That is one label or
-        heap redex, or once none is left, E on every atom whose twin seq
-        lacks, in relation order.  E adds only that twin, which is not in
-        seq, so no step of the batch is redundant or makes another's
-        principal atom."""
+    def _norm_step(self, seq: Sequent):
+        """The next normalization steps, to be applied in order; None when
+        seq is normal.  That is one label or heap redex, or once none is
+        left, E on every atom whose twin seq lacks, in relation order.  E
+        adds only that twin, which is not in seq, so no step of the batch
+        is redundant or makes another's principal atom."""
         red = find_redex(seq, self.cfg)
         if red is not None:
-            frm, to = red.subst
-            return (from_applied(red),), _rewrite_memo_label(memo, frm, to)
+            return (from_applied(red),)
         hr = find_heap_redex(seq, self.cfg)
         if hr is not None:
-            return (hr,), self._memo_after_heap(hr, memo)
+            return (hr,)
         rel = seq.rel
         comm = tuple(RuleInstance(Rule.E, principal_rels=(a,))
                      for a in rel if (a[1], a[0], a[2]) not in rel)
-        return (comm, memo) if comm else None
-
-    def _memo_after_heap(self, inst, memo):
-        if inst.rule is Rule.MAPSTO_L3:
-            h, h2 = inst.principal_gamma[0][0], inst.principal_gamma[1][0]
-            return _rewrite_memo_label(memo, max(h, h2), min(h, h2))
-        if inst.rule is Rule.MAPSTO_L4:
-            (_, f), (_, f2) = inst.principal_gamma
-            memo = _rewrite_memo_expr(memo, f2.args[0], f.args[0])
-            return _rewrite_memo_expr(memo, f2.args[1], f.args[1])
-        # =L
-        (_, f) = inst.principal_gamma[0]
-        return _rewrite_memo_expr(memo, f.args[0], f.args[1])
+        return comm or None
 
     # -- phase 3: invertible logical rules ------------------------------------
 
@@ -424,7 +422,7 @@ class Prover:
                     break    # greedy: a fully matching atom needs no further scan
         return best
 
-    def _obligation(self, seq: Sequent, memo: Set[tuple], min_score: int):
+    def _obligation(self, seq: Sequent, memo: _Memo, min_score: int):
         # Obligations are sought only once _norm_step finds no redex, so every
         # (e,x |> y) atom has x == y: no identity atom equates two distinct
         # labels, and atoms are matched against labels by plain comparison.
@@ -470,7 +468,7 @@ class Prover:
                                                     principal_rels=(a,))
         if min_score == 0:
             return self._fresh_label_obligation(
-                seq, memo, _still_blocked(self._blockers(seq), memo))
+                seq, memo, memo.blocked(self._blockers(seq)))
         return None
 
     def _fresh_label_obligation(self, seq, memo, blocked):
@@ -580,10 +578,10 @@ class Prover:
                     break
         return out
 
-    def _open_branch(self, seq: Sequent, memo: Set[tuple], rounds: int):
+    def _open_branch(self, seq: Sequent, memo: _Memo, rounds: int):
         """The NotProved that seq ends with, when nothing is left to apply
-        to it but blocked instances; or None, and the memo that unblocks
-        every blocked label, when blocking stopped it and its model is not
+        to it but blocked instances; or None, with every blocked label
+        unblocked in memo, when blocking stopped it and its model is not
         certified.  When the round cap left seq unsaturated, the NotProved
         of a certified model of the coarser cap-end merge, else raises
         _Exhausted.
@@ -591,20 +589,21 @@ class Prover:
         The model merges every blocked label into its blocker, unblocked
         ones too, so it has a world per kind of label, not per label."""
         merge = self._blockers(seq)
-        blocked = _still_blocked(merge, memo)
+        blocked = memo.blocked(merge)
         if (blocked and self._fresh_label_obligation(seq, memo, frozenset())
                 is not None):
             model = branch_countermodel(seq, merge, self.goal, self.cfg)
             if model is not None:
-                return NotProved(seq, model), memo
-            return None, memo.union(("unblock", w) for w in blocked)
+                return NotProved(seq, model)
+            memo.toggle({("unblock", w) for w in blocked})
+            return None
         if rounds < self.round_cap:
             model = branch_countermodel(seq, merge, self.goal, self.cfg)
-            return NotProved(seq, model), memo
+            return NotProved(seq, model)
         model = branch_countermodel(seq, self._blockers(seq, cap_end=True),
                                     self.goal, self.cfg)
         if model is not None:
-            return NotProved(seq, model), memo
+            return NotProved(seq, model)
         raise _Exhausted("structural rounds")
 
     # -- phase 5: structural rounds -------------------------------------------

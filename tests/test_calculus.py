@@ -6,7 +6,7 @@ import pytest
 import pasl.formula
 from pasl.calculus import (
     Derivation, Rule, RuleError, RuleInstance, check, closures, expand,
-    from_applied, rule_enabled,
+    from_applied, renamings, rule_enabled,
 )
 from pasl.cli import load_corpus
 from pasl.config import preset
@@ -353,3 +353,59 @@ def test_rule_applications_never_change_their_conclusion():
         assert not pending
     assert len(seen) > 100
     assert all(_parts(s) == snapshot for s, snapshot in seen)
+
+
+def _renamed_by(seq, inst):
+    """seq with inst's renamings applied in order, labels by subst_label
+    and expressions by subst_expr; =L drops its equality first."""
+    if inst.rule is Rule.EQ_L:
+        seq = seq.extend(drop_gamma=inst.principal_gamma)
+    for frm, to in renamings(inst):
+        seq = seq.subst_label(frm, to) if isinstance(frm, int) else seq.subst_expr(frm, to)
+    return seq
+
+
+def test_renamings_give_the_premise_of_every_substitution():
+    # the instances built above, one of each heap substitution, and every
+    # step of each replayed corpus proof: a substitution's premise is its
+    # renamings applied to its conclusion
+    cells = parse("(e1 |-> e2) * (e1 |-> e2)")
+    built = [
+        (Sequent(rel=((1, 2, 3), (1, 2, 4))),
+         RuleInstance(Rule.P, principal_rels=((1, 2, 3), (1, 2, 4)), subst=((4, 3),)),
+         PASL),
+        (Sequent(rel=((1, 2, 3), (1, 2, 4))),
+         from_applied(AppliedRule("P", ((1, 2, 3), (1, 2, 4)), (4, 3))), PASL),
+        (Sequent(rel=((2, 3, 1),), gamma=((2, parse("e1 |-> e2")), (3, parse("e1 |-> e2")))),
+         RuleInstance(Rule.MAPSTO_L3, principal_gamma=((2, parse("e1 |-> e2")),
+                                                       (3, parse("e1 |-> e2")))), SEP),
+        (Sequent(rel=((2, 2, 1),), delta=((1, cells),)),
+         RuleInstance(Rule.D, principal_rels=((2, 2, 1),), subst=((2, EPS),)), SEP),
+        (Sequent(gamma=((1, parse("x |-> y")), (1, parse("y |-> x")),
+                        (2, parse("exists x. x |-> y")))),
+         RuleInstance(Rule.MAPSTO_L4, principal_gamma=((1, parse("x |-> y")),
+                                                       (1, parse("y |-> x")))), SEP),
+        (Sequent(gamma=((1, parse("x = y")), (2, parse("x |-> z"))),
+                 delta=((2, parse("exists y. x |-> y")),)),
+         RuleInstance(Rule.EQ_L, principal_gamma=((1, parse("x = y")),)), SEP),
+    ]
+    for path in ("table1.corpus", "table2.corpus"):
+        for e in load_corpus(os.path.join(DATA, path)):
+            if e.id == "t1-17":
+                continue
+            cfg = preset(e.cfg)
+            proof = prove(parse(e.formula), cfg).proof
+            pending = [proof.conclusion]
+            for inst in proof.steps:
+                seq = pending.pop()
+                built.append((seq, inst, cfg))
+                pending.extend(reversed(expand(seq, inst, cfg)))
+    met = set()
+    for seq, inst, cfg in built:
+        if not renamings(inst):
+            continue
+        met.add(inst.rule)
+        (premise,) = expand(seq, inst, cfg)
+        assert _parts(_renamed_by(seq, inst)) == _parts(premise), inst
+    assert met == {Rule.EQ1, Rule.EQ2, Rule.P, Rule.C, Rule.IU, Rule.D,
+                   Rule.MAPSTO_L3, Rule.MAPSTO_L4, Rule.EQ_L}

@@ -10,7 +10,7 @@ from pasl.cli import load_corpus
 from pasl.formula import (
     BOT, EMP, TOP, ParseError, conj, disj, exists, expr_eq, expr_names, free_exprs,
     has_heap, imp, neg, parse, points_to, prop, prop_names, septraction,
-    show, size, star, subformulae, subst_expr, wand,
+    show, star, subformulae, subst_expr, wand,
 )
 
 
@@ -107,16 +107,21 @@ def test_show_deep_nesting():
     assert repr(f).startswith("Formula(~~~")
 
 
+def _size(f):
+    """The number of nodes of f's syntax tree, shared ones once per use."""
+    return sum(1 for _ in subformulae(f))
+
+
 def test_parse_deep_nesting():
     # parsing needs no recursion either: runs of ~, parentheses and
     # exists bodies far past Python's recursion limit
     f = parse("~" * 5000 + "a")
-    assert size(f) == 5001 and show(f) == "~" * 5000 + "a"
+    assert _size(f) == 5001 and show(f) == "~" * 5000 + "a"
     assert parse("(" * 3000 + "a * b" + ")" * 3000) is star(prop("a"), prop("b"))
     g = parse("~(" * 2000 + "a -> b" + ")" * 2000 + " /\\ b")
-    assert g.kind == "and" and size(g) == 2000 + 5
+    assert g.kind == "and" and _size(g) == 2000 + 5
     h = parse("exists x. " * 2000 + "(x |-> y)")
-    assert size(h) == 2001 and h.args[0] == "x"
+    assert _size(h) == 2001 and h.args[0] == "x"
     with pytest.raises(ParseError) as err:
         parse("(" * 3000 + "a" + ")" * 2999)
     assert str(err.value) == "expected ')' (at position 6000)"
@@ -124,7 +129,7 @@ def test_parse_deep_nesting():
 
 def test_size_and_subformulae():
     f = parse("(a * b) -> a")
-    assert size(f) == 5
+    assert _size(f) == 5
     assert prop("a") in set(subformulae(f))
     assert parse("a * b") in set(subformulae(f))
 
@@ -150,6 +155,27 @@ def test_subst_expr_avoids_capture():
     g = parse("(x = y) /\\ exists y. y |-> x")
     assert subst_expr(g, "y", "w") is parse("(x = w) /\\ exists y. y |-> x")
     assert subst_expr(g, "x", "w") is parse("(w = y) /\\ exists y. y |-> w")
+
+
+def test_subst_expr_renames_a_binder_that_would_capture():
+    # =L, |->L4 and existsR may substitute the name an exists binds: the
+    # binder takes a ' suffix, as many as make it new to its body and
+    # other than frm, which no parsed name holds
+    f = parse("exists y. x |-> y")
+    assert subst_expr(f, "x", "y") is exists("y'", points_to("y", "y'"))
+    g = exists("y", star(points_to("x", "y"), points_to("y'", "z")))
+    assert subst_expr(g, "x", "y") is exists(
+        "y''", star(points_to("y", "y''"), points_to("y'", "z")))
+    h = exists("y", star(points_to("y'", "y"), points_to("x", "z")))
+    assert subst_expr(h, "y'", "y") is exists(
+        "y''", star(points_to("y", "y''"), points_to("x", "z")))
+    # nested binders are renamed each in its own scope
+    k = parse("exists y. (x = y) /\\ exists y. (y |-> x)")
+    assert subst_expr(k, "x", "y") is exists(
+        "y'", conj(expr_eq("y", "y'"), exists("y'", points_to("y'", "y"))))
+    # a binder over a body without a free frm is left as it is
+    assert subst_expr(parse("exists y. y |-> z"), "x", "y") is parse("exists y. y |-> z")
+    assert free_exprs(subst_expr(f, "x", "y")) == {"y"}
 
 
 def test_heap_walkers_deep_nesting():

@@ -1,9 +1,9 @@
 """Heap redexes and expression bookkeeping."""
-from pasl.calculus import Rule, expand, from_applied
+from pasl.calculus import Rule, check, expand, from_applied
 from pasl.config import preset
 from pasl.formula import parse
 from pasl.heap import find_heap_redex, occurring_exprs, witnesses
-from pasl.search import Prover
+from pasl.search import NotProved, Prover, SearchLimits, Valid, prove
 from pasl.sequent import EPS, Sequent
 from pasl.unify import find_redex
 
@@ -94,3 +94,15 @@ def test_mapsto_l2_collapses_one_side():
     # second premise: the right part is empty, the left part is the cell
     assert (2, parse("x |-> y")) in p2.gamma
     assert (2, parse("a")) in p2.gamma
+
+
+def test_substitution_never_captures_a_bound_name():
+    # =L must not turn exists y. (x |-> y) into exists y. (y |-> y): the
+    # goal is false where s(x) = s(y) = 1 and the heap is {1 |-> 2}
+    limits = SearchLimits(max_rule_apps=2000)
+    bad = prove(parse("(x = y /\\ exists y. (x |-> y)) -> exists z. (z |-> z)"),
+                SEP, limits)
+    assert isinstance(bad, NotProved)
+    # existsR's witness t stays free under exists t: y := t, then t := u
+    good = prove(parse("(t |-> u) -> exists y. exists t. (y |-> t)"), SEP, limits)
+    assert isinstance(good, Valid) and check(good.proof, SEP)

@@ -1,4 +1,5 @@
 """End-to-end proof search."""
+import gc
 import os
 import random
 import tracemalloc
@@ -7,7 +8,8 @@ import pytest
 
 import pasl
 from pasl import countermodel, search
-from pasl.calculus import Derivation, Rule, RuleError, RuleInstance, check, expand
+from pasl.calculus import (Derivation, Rule, RuleError, RuleInstance, check, expand,
+                           renamings)
 from pasl.cli import load_corpus
 from pasl.config import ConfigError, preset
 from pasl.formula import parse
@@ -229,14 +231,12 @@ def test_normalization_commutes_every_atom_at_once():
     # atom whose twin is missing, in relation order
     rel = [(1, 2, 3), (4, 5, 6), (8, 9, 10), (9, 8, 10), (1, 4, 7)]
     seq = Sequent(rel=rel, gamma=[(3, parse("a"))], delta=[(7, parse("b"))])
-    memo = {("S", (1, 0))}
-    insts, out = Prover(BBI)._norm_step(seq, memo)
-    assert out is memo
+    insts = Prover(BBI)._norm_step(seq)
     assert [(i.rule, i.principal_rels) for i in insts] == [
         (Rule.E, ((1, 2, 3),)), (Rule.E, ((4, 5, 6),)), (Rule.E, ((1, 4, 7),))]
     for inst in insts:
         (seq,) = expand(seq, inst, BBI)
-    assert Prover(BBI)._norm_step(seq, memo) is None
+    assert Prover(BBI)._norm_step(seq) is None
 
 
 def test_obligations_see_only_normalized_labels(monkeypatch):
@@ -340,15 +340,86 @@ def test_labels_of_a_proof_stay_at_most_its_sequents_top():
     assert proofs > 100 and met > 500
 
 
-def test_rewritten_memo_shares_the_keys_it_leaves_alone():
-    # each pending premise keeps its own memo, so a key that a label
-    # substitution does not touch is not rebuilt
+def test_renaming_the_memo_shares_the_keys_it_leaves_alone():
+    # a label substitution rebuilds only the keys that hold the label
     a = parse("a -* b")
     kept, moved = ("-*L", (1, a), (2, 1, 3)), ("-*L", (4, a), (2, 4, 5))
-    out = search._rewrite_memo_label({kept, moved}, 4, 1)
-    assert out == {kept, ("-*L", (1, a), (2, 1, 5))}
-    assert any(k is kept for k in out)
-    assert not any(k is moved for k in out)
+    memo = search._Memo()
+    memo.toggle({kept, moved})
+    memo.rename(4, 1)
+    assert memo == {kept, ("-*L", (1, a), (2, 1, 5))}
+    assert any(k is kept for k in memo)
+    # a key that moves onto one the memo holds leaves one key
+    memo.rename(5, 3)
+    assert memo == {kept}
+    memo.undo(1)
+    assert memo == {kept, moved}
+
+
+def test_popped_premise_sees_the_memo_it_was_pushed_with(monkeypatch):
+    # the premises of a branching step wait on the stack with the trail's
+    # length; whatever the first premise's subtree fires, renames or
+    # unblocks, popping the second undoes it
+    a, c = parse("a -* b"), parse("exists x. x |-> y")
+    memo = search._Memo()
+    memo.toggle({("-*L", (1, a), (2, 1, 3)), ("S", (3, 0))})
+    pushed, mark = set(memo), len(memo.trail)
+    memo.toggle({("-*L", (1, a), (4, 1, 5)), ("exR", (5, c), "y")})
+    memo.rename(3, 2)
+    memo.rename("y", "z")
+    inner = len(memo.trail)
+    memo.toggle({("unblock", 4), ("unblock", 5)})
+    memo.undo(inner)
+    assert ("unblock", 4) not in memo and ("exR", (5, parse("exists x. x |-> z")), "z") in memo
+    memo.undo(mark)
+    assert memo == pushed and len(memo.trail) == mark
+    # in a search: andR splits before -*L fires, so each premise fires
+    # the same (formula, atom) key, the second after the first closed
+    fired = []
+    orig = Prover._obligation
+
+    def spied(self, seq, memo, min_score):
+        ob = orig(self, seq, memo, min_score)
+        if ob is not None:
+            fired.extend(ob[0])
+        return ob
+
+    monkeypatch.setattr(Prover, "_obligation", spied)
+    v = prove(parse("((a -* b) * a) -> (b /\\ (c \\/ b))"), BBI)
+    assert isinstance(v, Valid)
+    assert len(fired) == 2 and fired[0] == fired[1]
+
+
+def test_memo_follows_both_renamings_of_mapsto_l4_in_order():
+    # two cells at one label: y becomes x, then x becomes y, so every key
+    # ends up naming y, as the premise does
+    cells = ((1, parse("x |-> y")), (1, parse("y |-> x")))
+    goal = (2, parse("exists z. z |-> x"))
+    seq = Sequent(gamma=cells, delta=(goal,))
+    inst = RuleInstance(Rule.MAPSTO_L4, principal_gamma=cells)
+    (premise,) = expand(seq, inst, SEP)
+    memo = search._Memo()
+    memo.toggle({("exR", goal, "y"), ("exR", goal, "x")})
+    for frm, to in renamings(inst):
+        memo.rename(frm, to)
+    (want,) = premise.delta
+    assert want == (2, parse("exists z. z |-> y"))
+    assert memo == {("exR", want, "y")}
+    memo.undo(1)
+    assert memo == {("exR", goal, "y"), ("exR", goal, "x")}
+
+
+def test_a_proof_leaves_no_reference_cycles():
+    # the memo's renaming walk is one module-level function, not a closure
+    # made on each renaming, so a search leaves nothing for the cyclic GC
+    prove(parse("(emp * a) -> a"), BBI)
+    gc.collect()
+    gc.disable()
+    try:
+        assert isinstance(prove(parse("(emp * a) -> a"), BBI), Valid)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_t1_17_closes_within_a_small_rule_budget():
