@@ -20,15 +20,8 @@ class LogicConfig:
     heap_extension: bool = False
 
     def name(self) -> str:
-        parts = ["bbi"]
-        flags = [
-            ("p", self.partial_determinism), ("c", self.cancellativity),
-            ("iu", self.indivisible_unit), ("d", self.disjointness),
-            ("s", self.splittability), ("cs", self.cross_split),
-            ("heap", self.heap_extension),
-        ]
-        parts.extend(k for k, on in flags if on)
-        return "+".join(parts)
+        return "+".join(["bbi"] + [k for k, field in _FLAGS.items()
+                                   if getattr(self, field)])
 
 
 BBI = LogicConfig()

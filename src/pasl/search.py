@@ -153,6 +153,13 @@ def _renamed(x, frm, to):
     return subst_expr(x, frm, to) if isinstance(x, Formula) and isinstance(frm, str) else x
 
 
+# A memo key is tagged with the Rule it stands for, or with one of these
+# markers: neither a tag nor a marker is a label or an expression name, so
+# no renaming touches it.
+_FRESH = object()       # existsR has tried a fresh witness for the formula
+_UNBLOCK = object()     # the branch has unblocked the label
+
+
 class _Memo(set):
     """The obligation keys fired on the current branch, and an undo trail:
     a change toggles a set of keys and pushes it; undo(mark) pops to mark."""
@@ -175,7 +182,7 @@ class _Memo(set):
 
     def blocked(self, blockers: Dict[int, int]) -> Set[int]:
         """The labels of blockers that this branch has not unblocked."""
-        return {w for w in blockers if ("unblock", w) not in self}
+        return {w for w in blockers if (_UNBLOCK, w) not in self}
 
     def undo(self, mark: int) -> None:
         while len(self.trail) > mark:
@@ -408,18 +415,17 @@ class Prover:
 
     # -- phases 4 and 6: memoized obligations ---------------------------------
 
-    def _pick_atom(self, memo, tag, lf, atoms, score, min_score):
-        """Choose an untried atom of atoms for lf with enough subformula affinity."""
+    def _pick_atom(self, memo, rule, lf, atoms, score, min_score):
+        """The untried atom of atoms for lf with the highest subformula
+        affinity, at least min_score; the most recent among equals."""
         best = None
         best_score = min_score - 1
         for a in reversed(atoms):    # recently created splittings first
-            if (tag, lf, a) in memo:
+            if (rule, lf, a) in memo:
                 continue
             s = score(a)
             if s > best_score:
                 best, best_score = a, s
-                if s >= 2:
-                    break    # greedy: a fully matching atom needs no further scan
         return best
 
     def _obligation(self, seq: Sequent, memo: _Memo, min_score: int):
@@ -430,14 +436,13 @@ class Prover:
             w, f = lf
             if f.kind == "star":
                 a = self._pick_atom(
-                    memo, "*R", lf, [a for a in seq.rel if a[2] == w],
+                    memo, Rule.STAR_R, lf, [a for a in seq.rel if a[2] == w],
                     lambda a: ((a[0], f.args[0]) in seq.gamma)
                     + ((a[1], f.args[1]) in seq.gamma),
                     min_score)
                 if a is not None:
-                    return (("*R", lf, a),), RuleInstance(Rule.STAR_R,
-                                                          principal_delta=(lf,),
-                                                          principal_rels=(a,))
+                    return ((Rule.STAR_R, lf, a),), RuleInstance(
+                        Rule.STAR_R, principal_delta=(lf,), principal_rels=(a,))
             elif f.kind == "exists" and self.cfg.heap_extension and min_score > 0:
                 got = self._witness(seq, lf, memo)
                 if got is not None:
@@ -448,20 +453,19 @@ class Prover:
             w, f = lf
             if f.kind == "wand":
                 a = self._pick_atom(
-                    memo, "-*L", lf, [a for a in seq.rel if a[1] == w],
+                    memo, Rule.WAND_L, lf, [a for a in seq.rel if a[1] == w],
                     lambda a: ((a[0], f.args[0]) in seq.gamma)
                     + ((a[2], f.args[1]) in seq.delta),
                     min_score)
                 if a is not None:
-                    return (("-*L", lf, a),), RuleInstance(Rule.WAND_L,
-                                                           principal_gamma=(lf,),
-                                                           principal_rels=(a,))
+                    return ((Rule.WAND_L, lf, a),), RuleInstance(
+                        Rule.WAND_L, principal_gamma=(lf,), principal_rels=(a,))
             elif (f.kind == "mapsto" and self.cfg.heap_extension
                   and min_score > 0):
                 for a in seq.rel:
                     if a[0] == EPS or a[1] == EPS or a[2] != w:
                         continue
-                    key = ("L2", lf, a)
+                    key = (Rule.MAPSTO_L2, lf, a)
                     if key not in memo:
                         return (key,), RuleInstance(Rule.MAPSTO_L2,
                                                     principal_gamma=(lf,),
@@ -487,17 +491,17 @@ class Prover:
         occurring expression once, then one fresh name once."""
         *occurring, fresh = witnesses(seq)
         for t in occurring:
-            if ("exR", lf, t) not in memo:
-                return (("exR", lf, t),), t
-        if ("exR-fresh", lf) not in memo:
-            return (("exR", lf, fresh), ("exR-fresh", lf)), fresh
+            if (Rule.EXISTS_R, lf, t) not in memo:
+                return ((Rule.EXISTS_R, lf, t),), t
+        if (_FRESH, lf) not in memo:
+            return ((Rule.EXISTS_R, lf, fresh), (_FRESH, lf)), fresh
         return None
 
     def _split_obligation(self, seq, memo, blocked):
         for q in seq.ineq:
             if q[1] != EPS or q[0] == EPS or q[0] in blocked:
                 continue
-            key = ("S", q)
+            key = (Rule.S, q)
             if key not in memo:
                 f = seq.fresh_label()
                 return (key,), RuleInstance(Rule.S, principal_ineqs=(q,),
@@ -510,7 +514,7 @@ class Prover:
                     and any(g is EMP for g in subformulae(f))):
                 targets.add(w)
         for w in sorted(targets):
-            key = ("EM", w)
+            key = (Rule.EM, w)
             if key not in memo:
                 return (key,), RuleInstance(Rule.EM, labels=(w,))
         return None
@@ -519,7 +523,7 @@ class Prover:
         rel = [a for a in seq.rel
                if a[0] != EPS and a[1] != EPS and blocked.isdisjoint(a)]
         for i, a1 in enumerate(rel):
-            key = ("CSC", a1)
+            key = (Rule.CS_C, a1)
             if key not in memo:
                 f = seq.fresh_label()
                 return (key,), RuleInstance(Rule.CS_C, principal_rels=(a1,),
@@ -527,7 +531,7 @@ class Prover:
             for a2 in rel[i + 1:]:
                 if a1[2] != a2[2]:
                     continue
-                key = ("CS", a1, a2)
+                key = (Rule.CS, a1, a2)
                 if key not in memo:
                     f = seq.fresh_label()
                     return (key,), RuleInstance(Rule.CS, principal_rels=(a1, a2),
@@ -595,7 +599,7 @@ class Prover:
             model = branch_countermodel(seq, merge, self.goal, self.cfg)
             if model is not None:
                 return NotProved(seq, model)
-            memo.toggle({("unblock", w) for w in blocked})
+            memo.toggle({(_UNBLOCK, w) for w in blocked})
             return None
         if rounds < self.round_cap:
             model = branch_countermodel(seq, merge, self.goal, self.cfg)
@@ -627,8 +631,6 @@ class Prover:
         for a1 in rel:
             x, y, z = a1
             for a2 in by_target.get(x, ()):
-                if a1 == a2 and self.cfg.cancellativity:
-                    continue   # the self-pair is admissible with cancellativity
                 u, v, _ = a2
                 if self._assoc_redundant(seq, u, v, y, z):
                     continue

@@ -1,7 +1,9 @@
 """Logic presets and flag combinations."""
+from itertools import combinations
+
 import pytest
 
-from pasl.config import BBI, PASL, SEPARATA, ConfigError, preset
+from pasl.config import _FLAGS, BBI, PASL, SEPARATA, ConfigError, preset
 
 
 def test_base_presets():
@@ -22,9 +24,18 @@ def test_flag_suffixes():
 
 
 def test_names_round_trip():
-    for name in ("bbi", "bbi+p", "pasl+d", "bbi+iu+s"):
-        cfg = preset(name)
-        assert preset(cfg.name()) == cfg
+    # every flag combination over both bases that preset accepts
+    accepted = set()
+    for base in ("bbi", "pasl"):
+        for n in range(len(_FLAGS) + 1):
+            for flags in combinations(_FLAGS, n):
+                try:
+                    cfg = preset("+".join((base,) + flags))
+                except ConfigError:
+                    continue
+                assert preset(cfg.name()) == cfg
+                accepted.add(cfg)
+    assert len(accepted) == 66 and BBI in accepted and PASL in accepted
 
 
 def test_heap_requires_pasl_semantics():

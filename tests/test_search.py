@@ -129,7 +129,9 @@ def test_branch_depth_is_not_bounded_by_recursion():
 
 
 def test_deep_proof_prints_and_hashes():
-    # the proof is a flat list of steps, so nothing walks it recursively
+    # the proof is a flat list of steps, so nothing walks it recursively.
+    # It also pins the cap schedule: the goal closes under cap 3, while a
+    # schedule that goes from 2 to 4 exhausts the relational atoms
     v = prove(parse("~(true -* ~emp) * ~(true -* ~emp) -> ~(true -* ~emp)"),
               preset("bbi+p"))
     assert isinstance(v, Valid)
@@ -343,11 +345,11 @@ def test_labels_of_a_proof_stay_at_most_its_sequents_top():
 def test_renaming_the_memo_shares_the_keys_it_leaves_alone():
     # a label substitution rebuilds only the keys that hold the label
     a = parse("a -* b")
-    kept, moved = ("-*L", (1, a), (2, 1, 3)), ("-*L", (4, a), (2, 4, 5))
+    kept, moved = (Rule.WAND_L, (1, a), (2, 1, 3)), (Rule.WAND_L, (4, a), (2, 4, 5))
     memo = search._Memo()
     memo.toggle({kept, moved})
     memo.rename(4, 1)
-    assert memo == {kept, ("-*L", (1, a), (2, 1, 5))}
+    assert memo == {kept, (Rule.WAND_L, (1, a), (2, 1, 5))}
     assert any(k is kept for k in memo)
     # a key that moves onto one the memo holds leaves one key
     memo.rename(5, 3)
@@ -362,15 +364,17 @@ def test_popped_premise_sees_the_memo_it_was_pushed_with(monkeypatch):
     # unblocks, popping the second undoes it
     a, c = parse("a -* b"), parse("exists x. x |-> y")
     memo = search._Memo()
-    memo.toggle({("-*L", (1, a), (2, 1, 3)), ("S", (3, 0))})
+    unblock = search._UNBLOCK
+    memo.toggle({(Rule.WAND_L, (1, a), (2, 1, 3)), (Rule.S, (3, 0))})
     pushed, mark = set(memo), len(memo.trail)
-    memo.toggle({("-*L", (1, a), (4, 1, 5)), ("exR", (5, c), "y")})
+    memo.toggle({(Rule.WAND_L, (1, a), (4, 1, 5)), (Rule.EXISTS_R, (5, c), "y")})
     memo.rename(3, 2)
     memo.rename("y", "z")
     inner = len(memo.trail)
-    memo.toggle({("unblock", 4), ("unblock", 5)})
+    memo.toggle({(unblock, 4), (unblock, 5)})
     memo.undo(inner)
-    assert ("unblock", 4) not in memo and ("exR", (5, parse("exists x. x |-> z")), "z") in memo
+    assert (unblock, 4) not in memo
+    assert (Rule.EXISTS_R, (5, parse("exists x. x |-> z")), "z") in memo
     memo.undo(mark)
     assert memo == pushed and len(memo.trail) == mark
     # in a search: andR splits before -*L fires, so each premise fires
@@ -399,14 +403,53 @@ def test_memo_follows_both_renamings_of_mapsto_l4_in_order():
     inst = RuleInstance(Rule.MAPSTO_L4, principal_gamma=cells)
     (premise,) = expand(seq, inst, SEP)
     memo = search._Memo()
-    memo.toggle({("exR", goal, "y"), ("exR", goal, "x")})
+    memo.toggle({(Rule.EXISTS_R, goal, "y"), (Rule.EXISTS_R, goal, "x")})
     for frm, to in renamings(inst):
         memo.rename(frm, to)
     (want,) = premise.delta
     assert want == (2, parse("exists z. z |-> y"))
-    assert memo == {("exR", want, "y")}
+    assert memo == {(Rule.EXISTS_R, want, "y")}
     memo.undo(1)
-    assert memo == {("exR", goal, "y"), ("exR", goal, "x")}
+    assert memo == {(Rule.EXISTS_R, goal, "y"), (Rule.EXISTS_R, goal, "x")}
+
+
+@pytest.mark.parametrize("template", [
+    "((a -* ({0} = v)) * a) -> exists z. ((z |-> z) \\/ (v |-> z))",
+    "((({0} |-> v) -* ({0} = v)) * ({0} |-> v)) -> exists z. (z |-> z)",
+])
+def test_memo_tags_are_not_renamed_with_an_expression_of_their_spelling(template):
+    # =L renames the expression exR; a memo key whose tag were the string
+    # "exR" would be renamed too, and its obligation fire again
+    apps = []
+    for name in ("exR", "exr", "unblock"):
+        p = Prover(SEP)
+        v = p.prove(parse(template.format(name)))
+        apps.append((type(v), p.apps))
+    assert apps[0] == apps[1] == apps[2]
+
+
+def test_pick_atom_takes_the_best_untried_atom_most_recent_first():
+    # *R on a * b at label 1: an atom (x, y |> 1) scores one for (x, a) in
+    # gamma and one for (y, b); the search takes the highest score of at
+    # least min_score, the most recently added atom among equals, and
+    # each atom once on a branch
+    a, b = parse("a"), parse("b")
+    rel = [(2, 3, 1), (4, 5, 1), (6, 7, 1), (8, 9, 1), (10, 11, 1)]
+    gamma = [(2, a), (3, b), (4, a), (6, a), (7, b), (11, b)]
+    seq = Sequent(rel=rel, gamma=gamma, delta=[(1, parse("a * b"))])
+    prover, memo = Prover(BBI), search._Memo()
+    picked = []
+    for min_score in (1, 1, 1, 1, 1, 0, 0):
+        ob = prover._obligation(seq, memo, min_score)
+        if ob is None:
+            picked.append(None)
+            continue
+        keys, inst = ob
+        assert inst.rule is Rule.STAR_R
+        memo.toggle(set(keys))
+        picked.append(inst.principal_rels[0])
+    assert picked == [(6, 7, 1), (2, 3, 1), (10, 11, 1), (4, 5, 1), None,
+                      (8, 9, 1), None]
 
 
 def test_a_proof_leaves_no_reference_cycles():
