@@ -3,20 +3,21 @@
 Every rule application is described by a RuleInstance naming the rule,
 its principal parts, fresh labels and substitutions.  expand() is the
 single implementation of what each rule does: the proof search calls it
-to compute premises, and check() calls it again to validate finished
-derivations, so the two can never disagree.
+to compute premises, and replay() calls it again to walk a finished
+derivation, for check() to validate it and for the command line to
+print it, so the search and the checker can never disagree.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
+from . import unify
 from .config import LogicConfig
 from .formula import BOT, EMP, TOP, Formula, expr_names, subst_expr
 from .sequent import (EPS, Ineq, Label, LabelledFormula, RelAtom, Sequent,
                       expr_index, label_name, occurring_exprs)
-from .unify import AppliedRule, entails_eq, eq_find
 
 
 class Rule(Enum):
@@ -70,9 +71,9 @@ _SUBST_RULES = frozenset((Rule.EQ1, Rule.EQ2, Rule.P, Rule.C, Rule.IU, Rule.D))
 
 
 def rule_enabled(rule: Rule, cfg: LogicConfig) -> bool:
-    if rule in (Rule.P,):
+    if rule is Rule.P:
         return cfg.partial_determinism
-    if rule in (Rule.C,):
+    if rule is Rule.C:
         return cfg.cancellativity
     if rule is Rule.IU:
         return cfg.indivisible_unit or cfg.disjointness
@@ -120,10 +121,6 @@ class RuleError(ValueError):
     pass
 
 
-def from_applied(a: AppliedRule) -> RuleInstance:
-    return RuleInstance(Rule(a.rule), principal_rels=a.atoms, subst=(a.subst,))
-
-
 def _need(cond: bool, msg: str) -> None:
     if not cond:
         raise RuleError(msg)
@@ -135,10 +132,7 @@ def _atomic(f: Formula) -> bool:
 
 def _merge(seq: Sequent, a: Label, b: Label) -> Sequent:
     """Identify two labels, always keeping the smaller one."""
-    if a == b:
-        return seq
-    frm, to = (a, b) if a > b else (b, a)
-    return seq.subst_label(frm, to)
+    return seq.subst_label(max(a, b), min(a, b))
 
 
 def _naming(premise: Sequent, name: str) -> Sequent:
@@ -189,7 +183,7 @@ def expand(seq: Sequent, inst: RuleInstance, cfg: LogicConfig) -> Tuple[Sequent,
         ((w, a),) = inst.principal_gamma
         ((w2, a2),) = inst.principal_delta
         _need(a is a2 and _atomic(a), "id needs the same atomic formula")
-        _need(entails_eq(seq, w, w2), "id labels not equal")
+        _need(unify.entails_eq(seq, w, w2), "id labels not equal")
         return ()
     if r is Rule.BOT_L:
         ((_, f),) = inst.principal_gamma
@@ -201,15 +195,16 @@ def expand(seq: Sequent, inst: RuleInstance, cfg: LogicConfig) -> Tuple[Sequent,
         return ()
     if r is Rule.EMP_R:
         ((w, f),) = inst.principal_delta
-        _need(f is EMP and entails_eq(seq, w, EPS), "empR needs emp at the identity")
+        _need(f is EMP and unify.entails_eq(seq, w, EPS),
+              "empR needs emp at the identity")
         return ()
     if r is Rule.NEQ_L:
         ((x, y),) = inst.principal_ineqs
-        _need(entails_eq(seq, x, y), "neqL labels not equal")
+        _need(unify.entails_eq(seq, x, y), "neqL labels not equal")
         return ()
     if r is Rule.MAPSTO_L1:
         ((w, f),) = inst.principal_gamma
-        _need(f.kind == "mapsto" and entails_eq(seq, w, EPS),
+        _need(f.kind == "mapsto" and unify.entails_eq(seq, w, EPS),
               "|->L1 needs a cell at the identity")
         return ()
     if r is Rule.EQ_R:
@@ -298,7 +293,7 @@ def expand(seq: Sequent, inst: RuleInstance, cfg: LogicConfig) -> Tuple[Sequent,
         ((z2, f),) = inst.principal_delta
         ((x, y, z),) = inst.principal_rels
         _need(f.kind == "star", "*R needs a star")
-        _need(entails_eq(seq, z, z2), "*R atom target mismatch")
+        _need(unify.entails_eq(seq, z, z2), "*R atom target mismatch")
         a, b = f.args
         base = seq.requeue("delta", (z2, f))
         return (base.extend(delta=[(x, a)]), base.extend(delta=[(y, b)]))
@@ -306,7 +301,7 @@ def expand(seq: Sequent, inst: RuleInstance, cfg: LogicConfig) -> Tuple[Sequent,
         ((w2, f),) = inst.principal_gamma
         ((x, w, z),) = inst.principal_rels
         _need(f.kind == "wand", "-*L needs a wand")
-        _need(entails_eq(seq, w, w2), "-*L atom component mismatch")
+        _need(unify.entails_eq(seq, w, w2), "-*L atom component mismatch")
         a, b = f.args
         base = seq.requeue("gamma", (w2, f))
         return (base.extend(delta=[(x, a)]), base.extend(gamma=[(z, b)]))
@@ -314,7 +309,7 @@ def expand(seq: Sequent, inst: RuleInstance, cfg: LogicConfig) -> Tuple[Sequent,
         ((w, f),) = inst.principal_gamma
         ((h1, h2, h0),) = inst.principal_rels
         _need(f.kind == "mapsto", "|->L2 needs a cell")
-        _need(entails_eq(seq, w, h0), "|->L2 atom target mismatch")
+        _need(unify.entails_eq(seq, w, h0), "|->L2 atom target mismatch")
 
         def sub_branch(empty: Label, keep: Label) -> Sequent:
             # the empty component collapses to the identity, the other is h0
@@ -387,7 +382,7 @@ def expand(seq: Sequent, inst: RuleInstance, cfg: LogicConfig) -> Tuple[Sequent,
         return (seq.extend(rel=[(x, y, z)], ineq=[(x, EPS), (y, EPS)]),)
     if r is Rule.CS:
         (x, y, z), (u, v, z2) = inst.principal_rels
-        _need(entails_eq(seq, z, z2), "CS needs two splittings of one world")
+        _need(unify.entails_eq(seq, z, z2), "CS needs two splittings of one world")
         p, q, s, t = inst.fresh
         return (seq.extend(rel=[(p, q, x), (p, s, u), (s, t, y), (q, t, v)]),)
     if r is Rule.CS_C:
@@ -428,20 +423,32 @@ def structural_atoms(inst: RuleInstance) -> Tuple[RelAtom, ...]:
     return ((w, EPS, w),)
 
 
-def check(deriv: Derivation, cfg: LogicConfig) -> bool:
-    """Re-run a proof's steps from its conclusion.  Raises RuleError on any defect."""
-    pending = [deriv.conclusion]
+def replay(deriv: Derivation,
+           cfg: LogicConfig) -> Iterator[Tuple[RuleInstance, Sequent, int]]:
+    """Each step of a proof with the sequent it applies to and that
+    sequent's depth, the conclusion's being 0, in the proof's order.  The
+    premises are recomputed top-down by expand; raises RuleError on any
+    defect, a step left over or an open leaf included."""
+    pending = [(deriv.conclusion, 0)]
     for inst in deriv.steps:
         if not pending:
             raise RuleError("rule %s applied after every branch closed" % inst.rule.value)
-        pending.extend(reversed(expand(pending.pop(), inst, cfg)))
+        seq, depth = pending.pop()
+        yield inst, seq, depth
+        pending.extend((p, depth + 1) for p in reversed(expand(seq, inst, cfg)))
     _need(not pending, "open leaf in derivation")
+
+
+def check(deriv: Derivation, cfg: LogicConfig) -> bool:
+    """Re-run a proof's steps from its conclusion.  Raises RuleError on any defect."""
+    for _ in replay(deriv, cfg):
+        pass
     return True
 
 
 def closures(seq: Sequent, cfg: LogicConfig) -> Optional[RuleInstance]:
     """Find a zero-premise rule instance closing seq, if any."""
-    find = eq_find(seq)
+    find = unify.eq_find(seq)
     left = {}
     for lf in seq.gamma:
         w, f = lf

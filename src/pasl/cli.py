@@ -8,7 +8,7 @@ import time
 from dataclasses import dataclass
 from typing import List
 
-from .calculus import Derivation, expand
+from .calculus import Derivation, replay
 from .config import ConfigError, LogicConfig, preset
 from .formula import Formula, ParseError, parse, show
 from .oracle import check_conditions, format_model, parse_model, satisfies
@@ -64,14 +64,11 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _render(deriv: Derivation, style: str, cfg: LogicConfig) -> List[str]:
-    # the steps fix every premise; recompute them top-down, as check does
+    """One line per step, with the sequent calculus.replay applies it to."""
     lines = []
-    pending = [(deriv.conclusion, 0)]
-    for inst in deriv.steps:
-        seq, depth = pending.pop()
+    for inst, seq, depth in replay(deriv, cfg):
         pad = "  " * depth if style == "tree" else ""
         lines.append("%s[%s] %s" % (pad, inst.rule.value, format_sequent(seq)))
-        pending.extend((p, depth + 1) for p in reversed(expand(seq, inst, cfg)))
     return lines
 
 
@@ -156,8 +153,6 @@ def cmd_check_model(args) -> int:
             return EXIT_ERROR
         goal = parse(args.formula)
         at = args.world if args.world is not None else (world or 0)
-        if not 0 <= at < model.size:
-            raise ValueError("world %d is not in a model of %d worlds" % (at, model.size))
         result = satisfies(model, at, goal)
     except (OSError, ValueError, ConfigError) as e:
         print("error: %s" % e, file=sys.stderr)

@@ -1,8 +1,10 @@
 """The finite model of an open branch: built here, checked by the oracle.
 
 The builder may use the proof rules: it makes the label equalities a
-logic forces with the search's own normalizer, unify.find_redex.
-Whether its model is a countermodel is for the oracle alone to say.
+logic forces with the search's own normalizer, unify.find_redex.  It
+completes a frame on the oracle's own composition table and
+decompositions, but whether its model is a countermodel is for the
+oracle alone to say.
 """
 from __future__ import annotations
 
@@ -10,8 +12,8 @@ from typing import Dict, FrozenSet, Optional, Tuple
 
 from .config import LogicConfig
 from .formula import Formula, has_heap
-from .oracle import (FrameModel, Triple, _first_zero, _split_worlds, _truth,
-                     check_conditions)
+from .oracle import (FrameModel, Triple, _decompositions, _first_zero,
+                     _split_worlds, _table, _truth, check_conditions)
 from .sequent import EPS, Sequent
 from .unify import find_redex
 
@@ -33,14 +35,12 @@ def complete_frame(rel: FrozenSet[Triple], n: int,
     instance is looked at once both its atoms are present, on a
     composition table updated in place.  An instance that rebrackets
     keeps doing so as the relation grows, and the relation grows only
-    inside the n^3 possible atoms, so this ends.  Whether the result is
-    a frame is left to check_conditions."""
-    comp = [0] * (n * n)
-    dec = [[] for _ in range(n)]      # dec[c]: the (a,b) with a + b = c
+    inside the n^3 possible atoms, so this ends.  The table and the
+    decompositions start as the oracle's _table and _decompositions build
+    them.  Whether the result is a frame is left to check_conditions."""
+    comp, targets = _table(rel, n)
+    dec = _decompositions(targets, n)
     todo = sorted(rel)                # every atom, in the order it is looked at
-    for (a, b, c) in todo:
-        comp[a * n + b] |= 1 << c
-        dec[c].append((a, b))
 
     def add(a, b, c):
         if not comp[a * n + b] >> c & 1:
@@ -132,13 +132,11 @@ def branch_countermodel(seq: Sequent, merge: Dict[int, int], goal: Formula,
                     gamma=((w, f) for (w, f) in seq.gamma
                            if f.kind == "var" and w not in merge))
     first = m(1) if 1 in seq.labels else EPS
-    red = find_redex(image, cfg)
-    while red is not None:
-        frm, to = red.subst
+    while (red := find_redex(image, cfg)) is not None:
+        ((frm, to),) = red.subst
         image = image.subst_label(frm, to)
         if first == frm:
             first = to
-        red = find_redex(image, cfg)
     world = {w: i for i, w in enumerate(sorted(image.labels))}
     n = len(world)
     val: Dict[str, set] = {}

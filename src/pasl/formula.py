@@ -89,6 +89,8 @@ def septraction(a: Formula, b: Formula) -> Formula:
 
 
 def subformulae(f: Formula) -> Iterator[Formula]:
+    """Every occurrence of a subformula of f, f first: the one walk that
+    prop_names, expr_names and has_heap read."""
     stack = [f]
     while stack:
         g = stack.pop()
@@ -123,21 +125,17 @@ def free_exprs(f: Formula) -> frozenset:
 def expr_names(f: Formula) -> set:
     """Expression identifiers of heap atoms and binders, free or bound."""
     out = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
+    for g in subformulae(f):
         if g.kind in ("mapsto", "eq"):
             out.update(g.args)
         elif g.kind == "exists":
             out.add(g.args[0])
-            stack.append(g.args[1])
-        elif g.kind not in ("var", "top", "bot", "emp"):
-            stack.extend(g.args)
     return out
 
 
 def has_heap(f: Formula) -> bool:
-    return bool(expr_names(f))
+    """Does f hold a heap atom or a binder?"""
+    return any(g.kind in ("mapsto", "eq", "exists") for g in subformulae(f))
 
 
 def subst_expr(f: Formula, frm: Expr, to: Expr) -> Formula:

@@ -179,13 +179,20 @@ def _split_worlds(comp, n: int) -> int:
     return split
 
 
-def _cross_splits(comp, targets, n: int) -> bool:
-    """a + b = z = u + v implies p + q = a, p + s = u, s + t = b and
-    q + t = v for some p, q, s, t."""
-    dec = [[] for _ in range(n)]      # dec[c]: the (a,b) with a + b = c
+def _decompositions(targets, n: int) -> list:
+    """dec[c] lists the (a,b) with a + b = c in the table of targets,
+    in increasing order."""
+    dec = [[] for _ in range(n)]
     for ab, cs in enumerate(targets):
         for c in cs:
             dec[c].append(divmod(ab, n))
+    return dec
+
+
+def _cross_splits(comp, targets, n: int) -> bool:
+    """a + b = z = u + v implies p + q = a, p + s = u, s + t = b and
+    q + t = v for some p, q, s, t."""
+    dec = _decompositions(targets, n)
     reach = {}    # (a,b) -> per u, the bitmask of the v that (a,b) splits into
     for z in range(n):
         for ab in dec[z]:
@@ -355,9 +362,10 @@ def format_model(model: FrameModel, world: Optional[int] = None) -> str:
 
 
 def parse_model(text: str) -> Tuple[FrameModel, Optional[int]]:
-    """Read format_model's text; ValueError on a malformed line or on a
-    world outside 0..worlds-1."""
-    size = 0
+    """Read format_model's text; ValueError on a malformed line, on a
+    missing worlds line or fewer than one world, or on a world outside
+    0..worlds-1."""
+    size = None
     rel = set()
     val: Dict[str, FrozenSet[int]] = {}
     world = None
@@ -381,6 +389,10 @@ def parse_model(text: str) -> Tuple[FrameModel, Optional[int]]:
                 raise ValueError("bad model line %r" % line)
         except IndexError:
             raise ValueError("bad model line %r" % line) from None
+    if size is None:
+        raise ValueError("model has no worlds line")
+    if size < 1:
+        raise ValueError("model has %d worlds; it needs at least 1" % size)
     used = [w for t in rel for w in t] + [w for ws in val.values() for w in ws]
     if world is not None:
         used.append(world)

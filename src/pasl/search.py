@@ -95,7 +95,7 @@ from operator import is_
 from typing import Dict, List, Optional, Set, Tuple
 
 from .calculus import (Derivation, Rule, RuleInstance, check, closures,
-                       expand, from_applied, renamings, structural_atoms)
+                       expand, renamings, structural_atoms)
 from .config import ConfigError, LogicConfig
 from .formula import EMP, Formula, has_heap, subformulae, subst_expr
 from .heap import find_heap_redex, witnesses
@@ -359,12 +359,9 @@ class Prover:
         left, E on every atom whose twin seq lacks, in relation order.  E
         adds only that twin, which is not in seq, so no step of the batch
         is redundant or makes another's principal atom."""
-        red = find_redex(seq, self.cfg)
+        red = find_redex(seq, self.cfg) or find_heap_redex(seq, self.cfg)
         if red is not None:
-            return (from_applied(red),)
-        hr = find_heap_redex(seq, self.cfg)
-        if hr is not None:
-            return (hr,)
+            return (red,)
         rel = seq.rel
         comm = tuple(RuleInstance(Rule.E, principal_rels=(a,))
                      for a in rel if (a[1], a[0], a[2]) not in rel)

@@ -150,13 +150,9 @@ class Sequent:
 
     def requeue(self, side: str, lf: LabelledFormula) -> "Sequent":
         """Move a formula to the back of its queue (fairness for retained principals)."""
-        if side == "gamma":
-            g = dict.fromkeys(chain((x for x in self.gamma if x != lf), (lf,)))
-            return _built(self.rel, self.ineq, g, self.delta, self.labels, self.top,
-                          self.expr_top)
-        d = dict.fromkeys(chain((x for x in self.delta if x != lf), (lf,)))
-        return _built(self.rel, self.ineq, self.gamma, d, self.labels, self.top,
-                      self.expr_top)
+        part = dict.fromkeys(chain((x for x in getattr(self, side) if x != lf), (lf,)))
+        g, d = (part, self.delta) if side == "gamma" else (self.gamma, part)
+        return _built(self.rel, self.ineq, g, d, self.labels, self.top, self.expr_top)
 
     def subst_label(self, frm: Label, to: Label) -> "Sequent":
         """self with every frm replaced by to.  The result's change maps

@@ -4,65 +4,60 @@ Relational atoms of the form (e,w |> w') assert that w and w' denote the
 same world; partial determinism and cancellativity likewise force labels
 together.  Normalization eliminates such redexes by substituting one
 label for the other until no redex remains.  Substituting the smaller
-label keeps the identity label e from ever being eliminated.
+label keeps the identity label e from ever being eliminated.  A redex is
+found as the calculus.RuleInstance that eliminates it, which expand
+applies as it applies any other rule.
 """
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
+from . import calculus
 from .config import LogicConfig
 from .sequent import EPS, Label, RelAtom, Sequent
 
 
-class AppliedRule(NamedTuple):
-    rule: str                      # Eq1, Eq2, P, C, IU or D
-    atoms: Tuple[RelAtom, ...]     # the atoms that triggered it
-    subst: Tuple[Label, Label]     # (replaced, replacement)
+def _redex(rule: calculus.Rule, atoms: Tuple[RelAtom, ...], a: Label,
+           b: Label) -> calculus.RuleInstance:
+    """The instance of rule on atoms that replaces the larger of a and b
+    by the smaller."""
+    return calculus.RuleInstance(rule, principal_rels=atoms,
+                                 subst=((max(a, b), min(a, b)),))
 
 
-def _eq_redex(atom: RelAtom) -> Optional[AppliedRule]:
-    x, y, z = atom
-    if x != EPS or y == z:
-        return None
-    # replace the larger label by the smaller one
-    frm, to = (y, z) if y > z else (z, y)
-    rule = "Eq2" if frm == y else "Eq1"
-    return AppliedRule(rule, (atom,), (frm, to))
-
-
-def find_redex(seq: Sequent, cfg: LogicConfig) -> Optional[AppliedRule]:
+def _clash(seq: Sequent, rule: calculus.Rule,
+           i: int) -> Optional[calculus.RuleInstance]:
+    """rule's instance on the first two atoms of seq that share their first
+    label and the one at 3 - i but not the one at i: (x,y |> z) and
+    (x,y |> z') for P at i = 2, (x,y |> z) and (x,y' |> z) for C at i = 1."""
+    seen = {}
     for atom in seq.rel:
-        r = _eq_redex(atom)
-        if r is not None:
-            return r
-    if cfg.partial_determinism:
-        seen: Dict[Tuple[Label, Label], RelAtom] = {}
-        for atom in seq.rel:
-            x, y, z = atom
-            prev = seen.get((x, y))
-            if prev is not None and prev[2] != z:
-                frm, to = max(prev[2], z), min(prev[2], z)
-                return AppliedRule("P", (prev, atom), (frm, to))
-            seen[(x, y)] = atom
-    if cfg.cancellativity:
-        seen = {}
-        for atom in seq.rel:
-            x, y, z = atom
-            prev = seen.get((x, z))
-            if prev is not None and prev[1] != y:
-                frm, to = max(prev[1], y), min(prev[1], y)
-                return AppliedRule("C", (prev, atom), (frm, to))
-            seen[(x, z)] = atom
+        prev = seen.setdefault((atom[0], atom[3 - i]), atom)
+        if prev[i] != atom[i]:
+            return _redex(rule, (prev, atom), prev[i], atom[i])
+    return None
+
+
+def find_redex(seq: Sequent, cfg: LogicConfig) -> Optional[calculus.RuleInstance]:
+    """The first Eq1, Eq2, P, C, IU or D instance that applies to seq and
+    cfg enables, or None."""
+    Rule = calculus.Rule
+    for atom in seq.rel:
+        x, y, z = atom
+        if x == EPS and y != z:
+            return _redex(Rule.EQ2 if y > z else Rule.EQ1, (atom,), y, z)
+    if cfg.partial_determinism and (red := _clash(seq, Rule.P, 2)):
+        return red
+    if cfg.cancellativity and (red := _clash(seq, Rule.C, 1)):
+        return red
     if cfg.indivisible_unit or cfg.disjointness:
-        for atom in seq.rel:
-            x, y, z = atom
-            if z == EPS and x != EPS:
-                return AppliedRule("IU", (atom,), (x, EPS))
+        for a in seq.rel:
+            if a[2] == EPS and a[0] != EPS:
+                return _redex(Rule.IU, (a,), a[0], EPS)
     if cfg.disjointness:
-        for atom in seq.rel:
-            x, y, z = atom
-            if x == y and x != EPS:
-                return AppliedRule("D", (atom,), (x, EPS))
+        for a in seq.rel:
+            if a[0] == a[1] != EPS:
+                return _redex(Rule.D, (a,), a[0], EPS)
     return None
 
 

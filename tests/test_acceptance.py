@@ -13,7 +13,7 @@ import time
 import pytest
 
 import pasl
-from pasl.calculus import Rule, RuleInstance, check, expand, from_applied
+from pasl.calculus import Rule, RuleInstance, check, expand
 from pasl.cli import load_corpus
 from pasl.config import preset
 from pasl.formula import BOT, EMP, TOP, conj, disj, imp, neg, parse, prop, star, wand
@@ -650,8 +650,8 @@ def normalize(seq, cfg):
         r = find_redex(seq, cfg)
         if r is None:
             break
-        (seq,) = expand(seq, from_applied(r), cfg)
-        frm, to = r.subst
+        (seq,) = expand(seq, r, cfg)
+        ((frm, to),) = r.subst
         for k, v in mapping.items():
             if v == frm:
                 mapping[k] = to

@@ -6,14 +6,13 @@ import pytest
 import pasl.formula
 from pasl.calculus import (
     Derivation, Rule, RuleError, RuleInstance, check, closures, expand,
-    from_applied, renamings, rule_enabled,
+    renamings, rule_enabled,
 )
 from pasl.cli import load_corpus
 from pasl.config import preset
 from pasl.formula import EMP, TOP, parse
 from pasl.search import Valid, prove
 from pasl.sequent import EPS, Sequent, initial_sequent
-from pasl.unify import AppliedRule
 
 BBI = preset("bbi")
 PASL = preset("pasl")
@@ -136,13 +135,6 @@ def test_substitution_rules_refuse_to_rename_a_label_to_itself():
                               subst=((3, 3),))):
         with pytest.raises(RuleError, match="renames a label to itself"):
             expand(s, inst, PASL)
-
-
-def test_from_applied_round_trip():
-    s = Sequent(rel=((1, 2, 3), (1, 2, 4)))
-    inst = from_applied(AppliedRule("P", ((1, 2, 3), (1, 2, 4)), (4, 3)))
-    (p,) = expand(s, inst, PASL)
-    assert tuple(p.rel) == ((1, 2, 3),)
 
 
 def test_structural_rules():
@@ -374,8 +366,6 @@ def test_renamings_give_the_premise_of_every_substitution():
         (Sequent(rel=((1, 2, 3), (1, 2, 4))),
          RuleInstance(Rule.P, principal_rels=((1, 2, 3), (1, 2, 4)), subst=((4, 3),)),
          PASL),
-        (Sequent(rel=((1, 2, 3), (1, 2, 4))),
-         from_applied(AppliedRule("P", ((1, 2, 3), (1, 2, 4)), (4, 3))), PASL),
         (Sequent(rel=((2, 3, 1),), gamma=((2, parse("e1 |-> e2")), (3, parse("e1 |-> e2")))),
          RuleInstance(Rule.MAPSTO_L3, principal_gamma=((2, parse("e1 |-> e2")),
                                                        (3, parse("e1 |-> e2")))), SEP),

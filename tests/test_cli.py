@@ -2,6 +2,7 @@
 import pytest
 
 from pasl import cli, countermodel, oracle
+from pasl.calculus import Derivation, RuleError
 from pasl.cli import load_corpus, main
 from pasl.config import preset
 from pasl.formula import parse
@@ -222,6 +223,20 @@ def test_bench_row_error_continues(tmp_path, capsys, monkeypatch):
     assert len(err.splitlines()) == 1
 
 
+def test_render_rejects_what_check_rejects():
+    # the proof printer walks a derivation with check's replay, so a
+    # defect check rejects is an error, not a printed proof
+    cfg = preset("bbi")
+    proof = prove(parse("a -> a"), cfg).proof
+    for steps, msg in ((proof.steps[:-1], "open leaf in derivation"),
+                       (proof.steps + proof.steps[-1:],
+                        "rule id applied after every branch closed")):
+        for style in ("text", "tree"):
+            with pytest.raises(RuleError) as e:
+                cli._render(Derivation(proof.conclusion, steps), style, cfg)
+            assert str(e.value) == msg
+
+
 def test_load_corpus_rejects_malformed(tmp_path):
     p = tmp_path / "c.corpus"
     p.write_text("x\tbbi\tValid\n")
@@ -249,6 +264,14 @@ def test_check_model(tmp_path, capsys):
     # the frame violates indivisible units, so stricter logics reject it
     code, _, err = run(capsys, "check-model", str(model), "a", "--logic", "bbi+iu")
     assert code == 3 and "frame conditions" in err
+    # a model without worlds is malformed, whatever else it says
+    for text, msg in (("eps 0\nval a\n", "error: model has no worlds line\n"),
+                      ("worlds 0\neps 0\n", "error: model has 0 worlds; it needs at least 1\n"),
+                      ("worlds -1\neps 0\nrel 0 0 0\n",
+                       "error: model has -1 worlds; it needs at least 1\n")):
+        model.write_text(text)
+        code, out, err = run(capsys, "check-model", str(model), "a")
+        assert (code, out, err) == (3, "", msg)
 
 
 def test_check_model_without_unit_atoms_builds_no_table(tmp_path, capsys, monkeypatch):

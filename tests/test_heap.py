@@ -1,5 +1,5 @@
 """Heap redexes and expression bookkeeping."""
-from pasl.calculus import Rule, check, expand, from_applied
+from pasl.calculus import Rule, check, expand
 from pasl.config import preset
 from pasl.formula import parse
 from pasl.heap import find_heap_redex, occurring_exprs, witnesses
@@ -66,7 +66,7 @@ def test_mapsto_split_candidates():
                      (3, EPS, 5)),
                 gamma=((5, parse("x |-> y")),))
     while (r := find_redex(s, SEP)) is not None:
-        (s,) = expand(s, from_applied(r), SEP)
+        (s,) = expand(s, r, SEP)
     cell = (3, parse("x |-> y"))
     assert tuple(s.gamma) == (cell,)
     prover, memo, picked = Prover(SEP), set(), []

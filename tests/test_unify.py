@@ -1,7 +1,7 @@
 """Label normalization and the identity-atom congruence."""
 import random
 
-from pasl.calculus import expand, from_applied
+from pasl.calculus import Rule, expand
 from pasl.config import preset
 from pasl.formula import parse
 from pasl.sequent import EPS, Sequent
@@ -16,50 +16,50 @@ BBI_IU = preset("bbi+iu")
 def test_eq_redex_replaces_larger_label():
     s = Sequent(rel=((EPS, 5, 2),))
     r = find_redex(s, BBI)
-    assert r.rule == "Eq2"
-    assert r.subst == (5, 2)
+    assert r.rule is Rule.EQ2
+    assert r.subst == ((5, 2),)
     r = find_redex(Sequent(rel=((EPS, 2, 5),)), BBI)
-    assert r.rule == "Eq1"
-    assert r.subst == (5, 2)
+    assert r.rule is Rule.EQ1
+    assert r.subst == ((5, 2),)
 
 
 def test_eps_is_never_eliminated():
     s = Sequent(rel=((EPS, 3, EPS),))
     r = find_redex(s, BBI)
-    assert r.subst == (3, EPS)
+    assert r.subst == ((3, EPS),)
 
 
 def test_partial_determinism_redex():
     s = Sequent(rel=((1, 2, 3), (1, 2, 4)))
     assert find_redex(s, BBI) is None
     r = find_redex(s, PASL)
-    assert r.rule == "P"
-    assert r.subst == (4, 3)
+    assert r.rule is Rule.P
+    assert r.subst == ((4, 3),)
 
 
 def test_cancellativity_redex():
     s = Sequent(rel=((1, 2, 3), (1, 4, 3)))
     r = find_redex(s, PASL)
-    assert r.rule == "C"
-    assert r.subst == (4, 2)
+    assert r.rule is Rule.C
+    assert r.subst == ((4, 2),)
 
 
 def test_indivisible_unit_redex():
     s = Sequent(rel=((1, 2, EPS),))
     assert find_redex(s, BBI) is None
     r = find_redex(s, BBI_IU)
-    assert r.rule == "IU"
-    assert r.subst == (1, EPS)
+    assert r.rule is Rule.IU
+    assert r.subst == ((1, EPS),)
     # disjointness subsumes the indivisible unit
-    assert find_redex(s, PASL_D).rule == "IU"
+    assert find_redex(s, PASL_D).rule is Rule.IU
 
 
 def test_disjointness_redex():
     s = Sequent(rel=((2, 2, 3),))
     assert find_redex(s, PASL) is None
     r = find_redex(s, PASL_D)
-    assert r.rule == "D"
-    assert r.subst == (2, EPS)
+    assert r.rule is Rule.D
+    assert r.subst == ((2, EPS),)
 
 
 def normalize(seq, cfg):
@@ -70,7 +70,7 @@ def normalize(seq, cfg):
         r = find_redex(seq, cfg)
         if r is None:
             return seq, applied
-        (seq,) = expand(seq, from_applied(r), cfg)
+        (seq,) = expand(seq, r, cfg)
         applied.append(r.rule)
 
 
@@ -80,7 +80,7 @@ def test_normalize_chains_substitutions():
     seq, applied = normalize(s, PASL_D)
     assert tuple(seq.rel) == ((EPS, EPS, EPS),)
     assert tuple(seq.gamma) == ((EPS, parse("a")),)
-    assert applied == ["Eq2", "D", "Eq1"]
+    assert applied == [Rule.EQ2, Rule.D, Rule.EQ1]
 
 
 def test_normalize_fixpoint_is_redex_free():
