@@ -5,6 +5,15 @@ logic forces with the search's own normalizer, unify.find_redex.  It
 completes a frame on the oracle's own composition table and
 decompositions, but whether its model is a countermodel is for the
 oracle alone to say.
+
+Where a search limit stops a branch, limit_countermodel reads two more
+models off it, each under a bound on its worlds: an exact merge of the
+labels that carry the same formulas, completed as above, and the
+branch's core, completed by witness_frame, a bounded backtracking
+search for rebracketing witnesses that never breaks partial
+determinism, cancellativity, indivisible unit or disjointness (after
+the witness choice of MACE-style finite model finders; Claessen and
+Sörensson, 2003).
 """
 from __future__ import annotations
 
@@ -13,7 +22,7 @@ from typing import Dict, FrozenSet, Optional, Tuple
 from .config import LogicConfig
 from .formula import Formula, has_heap
 from .oracle import (FrameModel, Triple, _decompositions, _first_zero,
-                     _split_worlds, _table, _truth, check_conditions)
+                     _split_worlds, _table, _truth, _unbracketed, check_conditions)
 from .sequent import EPS, Sequent
 from .unify import find_redex
 
@@ -119,6 +128,13 @@ def branch_countermodel(seq: Sequent, merge: Dict[int, int], goal: Formula,
     the heap."""
     if cfg.heap_extension or has_heap(goal):
         return None
+    rel, n, val, first = _image(seq, merge, cfg)
+    return _certified(complete_frame(rel, n, cfg), n, val, first, goal, cfg)
+
+
+def _image(seq: Sequent, merge: Dict[int, int], cfg: LogicConfig):
+    """The relation, world count, valuation and world of label 1 of seq's
+    image under merge, normalized; see branch_countermodel."""
     m = lambda w: merge.get(w, w)
     rel = set()
     for (x, y, z) in seq.rel:
@@ -138,18 +154,156 @@ def branch_countermodel(seq: Sequent, merge: Dict[int, int], goal: Formula,
         if first == frm:
             first = to
     world = {w: i for i, w in enumerate(sorted(image.labels))}
-    n = len(world)
     val: Dict[str, set] = {}
     for (w, f) in image.gamma:
         val.setdefault(f.args[0], set()).add(world[w])
-    rel = complete_frame(
-        frozenset((world[x], world[y], world[z]) for (x, y, z) in image.rel), n, cfg)
+    return (frozenset((world[x], world[y], world[z]) for (x, y, z) in image.rel),
+            len(world), val, world[first])
+
+
+def _certified(rel: FrozenSet[Triple], n: int, val: Dict[str, set], first: int,
+               goal: Formula, cfg: LogicConfig) -> Optional[Tuple[FrameModel, int]]:
+    """The model of rel and val with a world where goal fails, first if
+    goal fails there, if rel is a frame of cfg; None otherwise."""
     if not check_conditions(rel, n, cfg):
         return None
     model = FrameModel(n, rel, {p: frozenset(ws) for p, ws in val.items()})
     holds = _truth(model, goal)
-    first = world[first]
     if not holds >> first & 1:
         return model, first
     h = _first_zero(holds, (1 << n) - 1)
     return None if h is None else (model, h)
+
+
+# -- the model of a branch that a search limit stopped -------------------------
+
+# Above this many labels a limit reading is skipped: the oracle's
+# composition table has n^2 entries, and the witness search scans it for
+# every relation it tries.
+_LIMIT_WORLDS = 12
+# The relations the witness search may try, and the worlds it may add.
+_WITNESS_NODES = 2000
+_FRESH_WORLDS = 2
+
+
+def carried(seq: Sequent) -> Dict[int, Tuple[set, set]]:
+    """Each label of seq that carries a formula, with the formulas it
+    carries in the antecedent and in the succedent."""
+    out: Dict[int, Tuple[set, set]] = {}
+    for (w, f) in seq.gamma:
+        out.setdefault(w, (set(), set()))[0].add(f)
+    for (w, f) in seq.delta:
+        out.setdefault(w, (set(), set()))[1].add(f)
+    return out
+
+
+def limit_countermodel(seq: Sequent, goal: Formula,
+                       cfg: LogicConfig) -> Optional[Tuple[FrameModel, int]]:
+    """A certified model read off seq, the branch of goal's search on
+    which a search limit fired; None if neither reading gives one.
+
+    The first reading merges each label other than e into the oldest
+    label that carries exactly its antecedent and succedent formulas, and
+    completes the image as branch_countermodel does.  The second keeps
+    the branch's core: e, label 1 and every label that carries a formula,
+    with the atoms among them; witness_frame completes its image.  Each
+    is skipped when it has more than _LIMIT_WORLDS labels."""
+    if cfg.heap_extension or has_heap(goal):
+        return None
+    have = carried(seq)
+    oldest: Dict[tuple, int] = {}
+    merge = {}
+    for w in sorted(seq.labels - {EPS}):
+        g, d = have.get(w, ((), ()))
+        b = oldest.setdefault((frozenset(g), frozenset(d)), w)
+        if b != w:
+            merge[w] = b
+    if len(seq.labels) - len(merge) <= _LIMIT_WORLDS:
+        got = branch_countermodel(seq, merge, goal, cfg)
+        if got is not None:
+            return got
+    core = {EPS, 1}.union(have)
+    if len(core) > _LIMIT_WORLDS:
+        return None
+    rel, n, val, first = _image(
+        Sequent(rel=(a for a in seq.rel if core.issuperset(a)),
+                gamma=seq.gamma, delta=seq.delta), {}, cfg)
+    frame = witness_frame(rel, n, cfg)
+    return None if frame is None else _certified(*frame, val, first, goal, cfg)
+
+
+def witness_frame(rel: FrozenSet[Triple], n: int,
+                  cfg: LogicConfig) -> Optional[Tuple[FrozenSet[Triple], int]]:
+    """A frame of cfg that holds rel, a commutative relation with unit
+    atoms on the worlds 0..n-1, on those worlds and at most _FRESH_WORLDS
+    more; None if the search below finds none within _WITNESS_NODES
+    relations.
+
+    Depth first from rel: at the first h1 + (h2 + h3) = h4 that does not
+    rebracket (oracle._unbracketed), the witness h6 of h1 + h2 = h6 and
+    h6 + h3 = h4 is each world in turn, then a fresh world, and both
+    atoms are added in both orders.  A choice that breaks the unit law,
+    or partial determinism, cancellativity, indivisible unit or
+    disjointness where cfg has them, is dropped: an atom added never
+    goes away, so its relation has no frame of cfg above it.  With
+    splittability, a world of a relation where everything rebrackets
+    that has no non-empty split gets c + c = c, as in complete_frame.
+    A relation where everything rebrackets and every world splits is
+    returned if check_conditions accepts it."""
+    most = n + _FRESH_WORLDS
+    todo = [(rel, n)]
+    for _ in range(_WITNESS_NODES):
+        if not todo:
+            break
+        rel, n = todo.pop()
+        comp, targets = _table(rel, n)
+        found = _unbracketed(comp, targets, n)
+        if found is None:
+            if cfg.splittability:
+                split = _split_worlds(comp, n)
+                c = next((c for c in range(1, n) if not split >> c & 1), None)
+                if c is not None:
+                    if _keeps(comp, n, ((c, c, c),), cfg):
+                        todo.append((rel | {(c, c, c)}, n))
+                    continue
+            if check_conditions(rel, n, cfg):
+                return rel, n
+            continue
+        h1, h2, h3, h4 = found
+        choices = []
+        for h6 in range(n + (n < most)):
+            new = {(h1, h2, h6), (h2, h1, h6), (h6, h3, h4), (h3, h6, h4)}
+            if h6 == n:
+                new |= {(h6, EPS, h6), (EPS, h6, h6)}
+            if _keeps(comp, n, new, cfg):
+                choices.append((rel | new, max(n, h6 + 1)))
+        todo.extend(reversed(choices))
+    return None
+
+
+def _keeps(comp, n: int, atoms, cfg: LogicConfig) -> bool:
+    """Do atoms, added to the composition table comp on n worlds, keep the
+    unit law, and partial determinism, cancellativity, indivisible unit
+    and disjointness where cfg has them?  An atom may name world n."""
+    added: Dict[Tuple[int, int], int] = {}
+    for (a, b, c) in atoms:
+        if a == EPS and b != c or b == EPS and a != c:
+            return False
+        if c == EPS and a != EPS and (cfg.indivisible_unit or cfg.disjointness):
+            return False
+        if a == b != EPS and cfg.disjointness:
+            return False
+        added[a, b] = added.get((a, b), 0) | 1 << c
+
+    def sums(a, b):
+        old = comp[a * n + b] if a < n and b < n else 0
+        return old | added.get((a, b), 0)
+
+    for (a, b) in added:
+        m = sums(a, b)
+        if cfg.partial_determinism and m & (m - 1):
+            return False
+        if cfg.cancellativity and any(
+                sums(a, b2) & m for b2 in range(n + 1) if b2 != b):
+            return False
+    return True

@@ -122,7 +122,14 @@ def _is_monoid(comp, targets, n: int) -> bool:
         for b in range(a + 1, n):
             if comp[a * n + b] != comp[b * n + a]:
                 return False
-    # given the unit, a triple with an empty world always rebrackets
+    return _unbracketed(comp, targets, n) is None
+
+
+def _unbracketed(comp, targets, n: int) -> Optional[Tuple[int, int, int, int]]:
+    """The first (h1, h2, h3, h4) with h4 in h1 + (h2 + h3) but not in
+    (h1 + h2) + h3, over h2, then h3, then h1 and h4 increasing; None if
+    every composition rebrackets.  Given the unit, a triple with an empty
+    world always rebrackets, so h1, h2 and h3 are non-empty."""
     for h2 in range(1, n):
         for h3 in range(1, n):
             t23 = targets[h2 * n + h3]
@@ -137,9 +144,10 @@ def _is_monoid(comp, targets, n: int) -> bool:
                     right = 0
                     for h6 in targets[row + h2]:
                         right |= comp[h6 * n + h3]
-                    if left & ~right:
-                        return False
-    return True
+                    miss = left & ~right
+                    if miss:
+                        return h1, h2, h3, (miss & -miss).bit_length() - 1
+    return None
 
 
 def _meets_extras(comp, targets, n: int, cfg: LogicConfig) -> bool:

@@ -40,7 +40,12 @@ logic, gets one such attempt before the next cap re-runs the search
 from the root: its model merges each label into the oldest label that
 carries all of its formulas, and the goal ends NotProved if the oracle
 certifies that model, while without one the cap is exhausted as
-before.  A saturated open branch ends NotProved in any case, since the
+before.  When a limit stops the search (the relational atoms, the rule
+applications, or the structural rounds at the last cap, but not the
+wall clock), the branch it fired on gets one more attempt,
+countermodel.limit_countermodel: the goal ends NotProved with its model
+if the oracle certifies one, and ResourceExhausted with the limit
+otherwise.  A saturated open branch ends NotProved in any case, since the
 strategy has no choicepoints and so no other proof attempt; its model
 is attached only if the oracle accepts it, and a NotProved without one
 is a search that found no proof, not a checked refutation.  Every
@@ -99,7 +104,7 @@ from .calculus import (Derivation, Rule, RuleInstance, check, closures,
 from .config import ConfigError, LogicConfig
 from .formula import EMP, Formula, has_heap, subformulae, subst_expr
 from .heap import find_heap_redex, witnesses
-from .countermodel import branch_countermodel
+from .countermodel import branch_countermodel, carried, limit_countermodel
 from .oracle import FrameModel
 from .sequent import EPS, Sequent, initial_sequent
 from .unify import find_redex
@@ -134,12 +139,17 @@ class NotProved:
 
 @dataclass(frozen=True, slots=True)
 class ResourceExhausted:
+    # the limit that fired, on a branch whose models the oracle rejected
+    # (none is read when the wall clock fires)
     limit: str
 
 
 class _Exhausted(Exception):
-    def __init__(self, limit: str):
+    """A search limit fired on the branch seq; seq is None for the wall
+    clock, whose branch no model is read off."""
+    def __init__(self, limit: str, seq: Optional[Sequent] = None):
         self.limit = limit
+        self.seq = seq
 
 
 def _renamed(x, frm, to):
@@ -218,6 +228,10 @@ class Prover:
             except _Exhausted as e:
                 if e.limit == "structural rounds" and cap != _ROUND_CAPS[-1]:
                     continue
+                if e.seq is not None:
+                    model = limit_countermodel(e.seq, goal, self.cfg)
+                    if model is not None:
+                        return NotProved(e.seq, model)
                 return ResourceExhausted(e.limit)
             if isinstance(verdict, Valid):
                 check(verdict.proof, self.cfg)
@@ -228,9 +242,9 @@ class Prover:
     def _tick(self, seq: Sequent) -> None:
         self.apps += 1
         if self.apps > self.limits.max_rule_apps:
-            raise _Exhausted("rule applications")
+            raise _Exhausted("rule applications", seq)
         if len(seq.rel) > self.limits.max_rel_atoms:
-            raise _Exhausted("relational atoms")
+            raise _Exhausted("relational atoms", seq)
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _Exhausted("wall clock")
 
@@ -549,11 +563,7 @@ class Prover:
         != e on the branch."""
         if not (cap_end or self.cfg.splittability or self.cfg.cross_split):
             return {}
-        carried: Dict[int, Tuple[set, set]] = {}
-        for (w, f) in seq.gamma:
-            carried.setdefault(w, (set(), set()))[0].add(f)
-        for (w, f) in seq.delta:
-            carried.setdefault(w, (set(), set()))[1].add(f)
+        have = carried(seq)
         if self.cfg.splittability and not cap_end:
             olders = [x for (x, y) in seq.ineq if y == EPS and x != EPS]
         else:
@@ -561,20 +571,20 @@ class Prover:
         # a label that carries nothing is blocked by the oldest candidate,
         # one that carries formulas only by a candidate that carries more
         oldest = min(olders, default=None)
-        carrying = sorted(b for b in olders if b in carried)
+        carrying = sorted(b for b in olders if b in have)
         out = {}
         for w in seq.labels:
             if w == EPS:
                 continue
-            if w not in carried:
+            if w not in have:
                 if oldest is not None and oldest < w:
                     out[w] = oldest
                 continue
-            g, d = carried[w]
+            g, d = have[w]
             for b in carrying:
                 if b >= w:
                     break
-                if g <= carried[b][0] and d <= carried[b][1]:
+                if g <= have[b][0] and d <= have[b][1]:
                     out[w] = b
                     break
         return out
@@ -605,7 +615,7 @@ class Prover:
                                     self.goal, self.cfg)
         if model is not None:
             return NotProved(seq, model)
-        raise _Exhausted("structural rounds")
+        raise _Exhausted("structural rounds", seq)
 
     # -- phase 5: structural rounds -------------------------------------------
 

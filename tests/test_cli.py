@@ -114,6 +114,23 @@ def test_prove_countermodel_search(tmp_path, capsys):
         assert out.strip().endswith(": false")
 
 
+def test_model_read_at_a_limit_passes_check_model(tmp_path, capsys):
+    # the control's search stops at the atom limit; the model read off
+    # that branch is printed like any other, and check-model, a second
+    # path through the oracle, finds the formula false where it says
+    formula = "(emp /\\ (a * b)) -> a"
+    code, out, _ = run(capsys, "prove", formula, "--logic", "pasl")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "NotProved" and lines[2] == "countermodel:"
+    assert lines[-1] == "falsified_at 0"
+    model = tmp_path / "m.model"
+    model.write_text("\n".join(lines[3:]) + "\n")
+    code, out, err = run(capsys, "check-model", str(model), formula, "--logic", "pasl")
+    assert code == 0 and err == ""
+    assert out.strip().endswith("@ 0: false")
+
+
 def test_prove_reports_an_uncertified_open_branch(capsys, monkeypatch):
     monkeypatch.setattr(countermodel, "check_conditions", lambda rel, n, cfg: False)
     code, out, _ = run(capsys, "prove", "a -> a * a")

@@ -1,8 +1,11 @@
 """The model of an open branch: merged, normalized, completed, checked."""
+import random
+
 import pytest
 
+from pasl import countermodel
 from pasl.config import preset
-from pasl.countermodel import branch_countermodel
+from pasl.countermodel import branch_countermodel, complete_frame, witness_frame
 from pasl.formula import parse
 from pasl.oracle import FrameModel, check_conditions, enumerate_frames, satisfies
 from pasl.sequent import Sequent
@@ -114,3 +117,78 @@ def test_a_merged_label_shares_its_target_world():
     model, world = certified(branch_countermodel(seq, {3: 1}, A, BBI), BBI, A)
     assert world == 1
     assert model == FrameModel(3, units(3) | {(1, 1, 2)}, {"a": frozenset({2})})
+
+
+# -- the witness search of a branch that a search limit stopped ---------------
+
+PASL = preset("pasl")
+
+
+def commutative(n, atoms):
+    return units(n) | {(a, b, c) for (a, b, c) in atoms} | {(b, a, c) for (a, b, c) in atoms}
+
+
+def test_witness_search_finds_the_cyclic_group():
+    # e, a and b with a + b = e: complete_frame rebrackets a + (a + b) = a
+    # with a + a = a, which breaks partial determinism and cancellativity;
+    # the witness search tries a + a = b instead and reaches Z3
+    rel = commutative(3, [(1, 2, 0)])
+    assert not check_conditions(complete_frame(rel, 3, PASL), 3, PASL)
+    got = witness_frame(rel, 3, PASL)
+    assert got == (commutative(3, [(1, 2, 0), (1, 1, 2), (2, 2, 1)]), 3)
+
+
+@pytest.mark.parametrize("logic,n,atoms", [
+    # (1 + 2) + 3 is 7 and 1 + (2 + 3) is 5
+    ("bbi+p", 8, [(2, 3, 4), (1, 4, 5), (1, 2, 6), (6, 3, 7)]),
+    # 1 + (2 + 3) = 5 and 3 + 6 = 5 make 1 + 2 = 6, as 1 + 7 already is
+    ("bbi+c", 8, [(2, 3, 4), (1, 4, 5), (3, 6, 5), (1, 7, 6)]),
+    # 1 + (2 + 3) = 3 makes 1 + 2 = e
+    ("bbi+c+iu", 5, [(2, 3, 4), (1, 4, 3)]),
+    # 1 + (1 + 2) = 4 needs 1 + 1
+    ("bbi+d", 5, [(1, 2, 3), (1, 3, 4)]),
+])
+def test_witness_search_keeps_the_conditions(logic, n, atoms):
+    # no frame of the logic holds these atoms, while bbi has one; the
+    # last-resort witness of complete_frame breaks the condition, and the
+    # witness search returns None instead
+    cfg, rel = preset(logic), commutative(n, atoms)
+    assert not check_conditions(complete_frame(rel, n, cfg), n, cfg)
+    assert witness_frame(rel, n, cfg) is None
+    got = witness_frame(rel, n, BBI)
+    assert got is not None and check_conditions(got[0], got[1], BBI)
+
+
+def test_witness_search_stops_at_its_node_bound(monkeypatch):
+    # Z3 is the second relation the search looks at
+    rel = commutative(3, [(1, 2, 0)])
+    monkeypatch.setattr(countermodel, "_WITNESS_NODES", 1)
+    assert witness_frame(rel, 3, PASL) is None
+    monkeypatch.setattr(countermodel, "_WITNESS_NODES", 2)
+    assert witness_frame(rel, 3, PASL) is not None
+
+
+@pytest.mark.parametrize("name", [l for l in LOGICS if l != "separata+"])
+def test_witness_search_returns_only_frames(name, monkeypatch):
+    # random commutative relations with unit atoms: whatever the search
+    # returns is a frame of the logic that holds the relation, with at
+    # most two worlds more; a frame comes back as it is
+    cfg = preset(name)
+    rng = random.Random(name)
+    monkeypatch.setattr(countermodel, "_WITNESS_NODES", 200)
+    found = 0
+    for _ in range(40):
+        n = rng.randint(3, 5)
+        atoms = [tuple(rng.sample(range(1, n), 2)) + (rng.randrange(n),)
+                 for _ in range(rng.randint(1, 3))]
+        rel = commutative(n, atoms)
+        got = witness_frame(rel, n, cfg)
+        if got is not None:
+            found += 1
+            frame, size = got
+            assert check_conditions(frame, size, cfg)
+            assert rel <= frame and n <= size <= n + 2
+    assert found
+    for n in (1, 2, 3):
+        for rel in enumerate_frames(n, cfg)[:20]:
+            assert witness_frame(rel, n, cfg) == (rel, n)

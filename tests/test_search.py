@@ -67,7 +67,8 @@ def test_open_branch_is_falsifiable_in_some_small_model():
 def test_logic_sensitivity_of_weakening_star():
     f = parse("(emp /\\ (a * b)) -> a")
     # without an indivisible unit the formula has a countermodel; the
-    # saturation is infinite there, so the search gives up rather than close
+    # saturation is infinite there, so the search stops at a limit and
+    # never closes (test_limit_ends_with_a_certified_model reads its model)
     assert not isinstance(prove(f, PASL, SearchLimits(max_rel_atoms=500)), Valid)
     assert isinstance(prove(f, preset("bbi+iu")), Valid)
     assert isinstance(prove(f, preset("bbi+d")), Valid)
@@ -605,6 +606,41 @@ def test_round_cap_without_a_model_still_exhausts(monkeypatch):
     monkeypatch.setattr(countermodel, "check_conditions", lambda rel, n, cfg: False)
     v = prove(parse("((~false * true) /\\ (emp /\\ a)) -> b"), PASL, FLEET_LIMITS)
     assert v == ResourceExhausted("relational atoms")
+
+
+NEGATIVE_CONTROL = "(emp /\\ (a * b)) -> a"
+
+
+def test_limit_ends_with_a_certified_model():
+    # the control's saturation is infinite in pasl and its search stops at
+    # the atom limit; the branch's core, e and the labels of a and b with
+    # a + b = e, is completed by the witness search to the cyclic group of
+    # order 3, where a * b holds at e and a does not
+    goal = parse(NEGATIVE_CONTROL)
+    v = prove(goal, PASL)
+    assert isinstance(v, NotProved)
+    assert _certified(v, goal, PASL)
+    model, world = v.countermodel
+    assert model.size == 3 and world == 0
+
+
+def test_limit_ends_with_the_exact_merge():
+    # S unrolls on this branch until the atom limit: the blocking merge
+    # sends the formula-free S children of label 1 to label 1, where the
+    # goal then holds at every world; merging only labels that carry the
+    # same formulas keeps them apart
+    goal, cfg = parse("(~a -* (~false -> (emp -* a))) -> a"), preset("bbi+s")
+    v = prove(goal, cfg, FLEET_LIMITS)
+    assert isinstance(v, NotProved)
+    assert _certified(v, goal, cfg)
+
+
+def test_no_model_is_read_when_the_wall_clock_fires(monkeypatch):
+    read = []
+    monkeypatch.setattr(search, "limit_countermodel", lambda *a: read.append(a))
+    v = prove(parse(NEGATIVE_CONTROL), PASL, SearchLimits(wall_clock_ms=1))
+    assert v == ResourceExhausted("wall clock")
+    assert read == []
 
 
 def test_saturated_branches_carry_certified_models():
